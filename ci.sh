@@ -42,7 +42,11 @@ r = json.load(open('target/BENCH_store_smoke.json'))
 assert r['schema'] == 'bench-store-v3', r['schema']
 assert r['reports_identical'] is True
 assert r['windowed_prune_ratio'] >= 0.9, r['windowed_prune_ratio']
-assert r['windowed_query_speedup'] >= 4.0, r['windowed_query_speedup']
+# Floor raised from 4.0 when the segment cache and column-projected decode
+# landed: three smoke runs then measured 58.6x, 60.6x and 65.4x (worst
+# 1-hour query vs the uncached forced full scan, was ~11x); 30.0 is 51 % of
+# the lowest, inside the "no more than 60 % of measured" rule.
+assert r['windowed_query_speedup'] >= 30.0, r['windowed_query_speedup']
 assert r['batched_sync_speedup'] >= 0.995, r['batched_sync_speedup']
 " || { echo "    bench_store smoke gates failed"; exit 1; }
 echo "    bench_store smoke gates passed"
@@ -55,6 +59,9 @@ for key in ('effective_cores', 'windowed_prune_ratio', 'windowed_query_speedup',
     assert key in r, key
 " || { echo "    committed BENCH_store.json is not a well-formed v3 report"; exit 1; }
 echo "    BENCH_store.json is well-formed bench-store-v3 JSON"
+
+echo "==> benchmark/check.sh (four-workload benchmark smoke: every declared metric once, pass_ratio 1)"
+benchmark/check.sh
 
 echo "==> bench_serve --smoke (concurrent serving correctness gate)"
 cargo run --release -q -p iri-bench --bin bench_serve -- --smoke --out target/BENCH_serve_smoke.json

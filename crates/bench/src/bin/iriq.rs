@@ -165,6 +165,7 @@ fn print_serve_stats(stats: &StatsBody) {
         stats.gate_abandoned,
         stats.gate_abandon_wait_us / 1_000,
     );
+    println!("{}", cli::render_cache_stats(&stats.segment_cache));
 }
 
 /// Renders the server's health surface.
@@ -186,6 +187,7 @@ fn print_health(health: &HealthBody) {
         health.retired_dirs,
         health.cache_entries,
     );
+    println!("{}", cli::render_cache_stats(&health.segment_cache));
 }
 
 /// Renders the server's metrics surface: registry, slow-query log,
@@ -211,6 +213,7 @@ fn print_metrics(metrics: &MetricsBody) {
         "trace: {} event(s) buffered of {} capacity, {} dropped",
         metrics.trace_len, metrics.trace_capacity, metrics.trace_dropped
     );
+    println!("{}", cli::render_cache_stats(&metrics.segment_cache));
     if !metrics.slow_queries.is_empty() {
         println!("slow queries (worst first):");
         for s in &metrics.slow_queries {
@@ -451,6 +454,7 @@ fn main() {
             _ => PlanKind::Stream,
         };
         println!("{}", store.plan(&q, kind).explain());
+        println!("{}", cli::render_cache_stats(&store.cache_stats()));
         std::process::exit(0);
     }
 
@@ -496,12 +500,12 @@ fn main() {
                     .iter()
                     .map(|c| (c.label(), counts[c.index()])),
             );
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         "count-by-cause" => {
             let (counts, stats) = store.count_by_cause(&q).unwrap_or_else(|e| fail(e));
             print_counts(Cause::ALL.iter().map(|c| (c.label(), counts[c.index()])));
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         "top-peers" => {
             let limit = arg_u64(&args, "--limit", 10) as usize;
@@ -509,7 +513,7 @@ fn main() {
             for (asn, n) in rows.iter().take(limit) {
                 println!("{:<10} {n:>10}", asn.to_string());
             }
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         "top-prefixes" => {
             let limit = arg_u64(&args, "--limit", 10) as usize;
@@ -517,18 +521,18 @@ fn main() {
             for (prefix, n) in rows.iter().take(limit) {
                 println!("{prefix:<20} {n:>10}");
             }
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         "bytes" => {
             let (total, stats) = store.sum_bytes(&q).unwrap_or_else(|e| fail(e));
             println!("{total} NLRI wire bytes match");
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         "series" => {
             let bin_ms = arg_u64(&args, "--bin-ms", 3_600_000);
             let (series, stats) = store.time_series(&q, bin_ms).unwrap_or_else(|e| fail(e));
             print_series(&series, bin_ms, args.iter().any(|a| a == "--spectrum"));
-            cli::print_scan_stats(&filter, &stats);
+            cli::print_scan_stats(&filter, &stats, &store);
         }
         _ => usage(),
     }

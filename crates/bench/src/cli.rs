@@ -16,10 +16,7 @@
 //! [`EXIT_USAGE`]); store errors carry their own exit codes via
 //! [`StoreError::exit_code`].
 
-use iri_bgp::types::{Asn, Prefix};
-use iri_core::taxonomy::UpdateClass;
-use iri_obs::Cause;
-use iri_store::{OpenOptions, Query, ScanStats, Store, StoreError};
+use iri_store::{OpenOptions, Query, ScanStats, SegmentCacheStats, Store, StoreError};
 use std::path::Path;
 
 /// Exit code for malformed command lines.
@@ -100,18 +97,6 @@ pub fn banner(title: &str, paper: &str) {
     println!("================================================================");
 }
 
-/// Parses a taxonomy class by its label, case-insensitively.
-#[deprecated(note = "use iri_store::parse_class_label — the store owns the label grammar now")]
-pub fn parse_class(name: &str) -> Result<UpdateClass, String> {
-    iri_store::parse_class_label(name)
-}
-
-/// Parses a cause by its label, case-insensitively.
-#[deprecated(note = "use iri_store::parse_cause_label — the store owns the label grammar now")]
-pub fn parse_cause(name: &str) -> Result<Cause, String> {
-    iri_store::parse_cause_label(name)
-}
-
 /// The open/report options every store-facing binary shares (`--strict`,
 /// `--stats`) wrapped around an [`iri_store::Query`].
 ///
@@ -131,9 +116,7 @@ pub fn parse_cause(name: &str) -> Result<Cause, String> {
 /// assert!(f.is_strict());
 /// ```
 ///
-/// or parse a command line with [`QueryFilter::from_args`]. The old
-/// per-field builder methods survive as `#[deprecated]` shims over
-/// [`iri_store::Query`].
+/// or parse a command line with [`QueryFilter::from_args`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryFilter {
     query: Query,
@@ -148,8 +131,7 @@ impl QueryFilter {
         Self::default()
     }
 
-    /// Wraps an already-built store query — the replacement for the
-    /// deprecated per-field builder methods below.
+    /// Wraps an already-built store query.
     #[must_use]
     pub fn from_query(query: Query) -> Self {
         QueryFilter {
@@ -157,54 +139,6 @@ impl QueryFilter {
             strict: false,
             stats: false,
         }
-    }
-
-    /// Restricts to `[from_ms, to_ms)`.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn time_range_ms(mut self, from_ms: u64, to_ms: u64) -> Self {
-        self.query = self.query.time_range_ms(from_ms, to_ms);
-        self
-    }
-
-    /// Restricts to one simulated day (the day-cache window shorthand).
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn day(mut self, day: u64) -> Self {
-        self.query = self.query.day_window(day);
-        self
-    }
-
-    /// Restricts to one peer AS.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn peer(mut self, asn: Asn) -> Self {
-        self.query = self.query.peer(asn);
-        self
-    }
-
-    /// Restricts to one prefix (exact match).
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn prefix(mut self, prefix: Prefix) -> Self {
-        self.query = self.query.prefix(prefix);
-        self
-    }
-
-    /// Restricts to one taxonomy class.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn class(mut self, class: UpdateClass) -> Self {
-        self.query = self.query.class(class);
-        self
-    }
-
-    /// Restricts to one cause.
-    #[deprecated(note = "build an iri_store::Query and use QueryFilter::from_query")]
-    #[must_use]
-    pub fn cause(mut self, cause: Cause) -> Self {
-        self.query = self.query.cause(cause);
-        self
     }
 
     /// Sets strict (fail-fast) store opening: corrupt or crash-recovered
@@ -285,7 +219,8 @@ impl QueryFilter {
 pub fn render_scan_stats(stats: &ScanStats) -> String {
     let mut out = format!(
         "[scan] {} segments: {} pruned, {} zone-answered, {} scanned \
-         (prune ratio {:.1}%); {} of {} KiB read, {} rows tested, {} matched",
+         (prune ratio {:.1}%); {} of {} KiB scanned, {} rows tested, {} matched\n\
+         [scan] {} KiB read from disk, {} of {} scanned segment(s) already resident",
         stats.segments_total,
         stats.segments_pruned,
         stats.segments_zone_answered,
@@ -294,7 +229,10 @@ pub fn render_scan_stats(stats: &ScanStats) -> String {
         stats.bytes_scanned / 1024,
         stats.bytes_total / 1024,
         stats.rows_scanned,
-        stats.rows_matched
+        stats.rows_matched,
+        stats.bytes_read / 1024,
+        stats.segments_cached,
+        stats.segments_scanned,
     );
     if stats.pages_total > 0 {
         out.push_str(&format!(
@@ -312,10 +250,28 @@ pub fn render_scan_stats(stats: &ScanStats) -> String {
     out
 }
 
-/// Prints [`render_scan_stats`] when the filter asked for it.
-pub fn print_scan_stats(filter: &QueryFilter, stats: &ScanStats) {
+/// Renders a segment cache's accounting: the `[cache]` footer line of
+/// `iriq --stats` / `--explain` and of the serve consoles.
+#[must_use]
+pub fn render_cache_stats(cache: &SegmentCacheStats) -> String {
+    format!(
+        "[cache] {} segment(s) resident ({} KiB); {} hits / {} misses, \
+         {} evicted, {} invalidated",
+        cache.entries,
+        cache.resident_bytes / 1024,
+        cache.hits,
+        cache.misses,
+        cache.evictions,
+        cache.invalidations,
+    )
+}
+
+/// Prints [`render_scan_stats`] and the handle's [`render_cache_stats`]
+/// when the filter asked for them.
+pub fn print_scan_stats(filter: &QueryFilter, stats: &ScanStats, store: &Store) {
     if filter.wants_stats() {
         println!("\n{}", render_scan_stats(stats));
+        println!("{}", render_cache_stats(&store.cache_stats()));
     }
 }
 
@@ -330,6 +286,9 @@ pub fn exit_store_error(prog: &str, e: &StoreError) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iri_bgp::types::Asn;
+    use iri_core::taxonomy::UpdateClass;
+    use iri_obs::Cause;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()
@@ -409,6 +368,32 @@ mod tests {
         let text = render_scan_stats(&hurt);
         assert!(text.contains("2 segment(s) quarantined"));
         assert!(text.contains("--strict"));
+    }
+
+    #[test]
+    fn scan_and_cache_footers_say_what_came_from_disk() {
+        let warm = ScanStats {
+            segments_scanned: 4,
+            segments_cached: 3,
+            bytes_scanned: 8 * 1024,
+            bytes_read: 2 * 1024,
+            ..ScanStats::default()
+        };
+        let text = render_scan_stats(&warm);
+        assert!(text.contains("2 KiB read from disk"), "{text}");
+        assert!(text.contains("3 of 4 scanned segment(s) already resident"));
+        let cache = SegmentCacheStats {
+            entries: 4,
+            resident_bytes: 9 * 1024,
+            hits: 3,
+            misses: 4,
+            evictions: 1,
+            invalidations: 2,
+        };
+        assert_eq!(
+            render_cache_stats(&cache),
+            "[cache] 4 segment(s) resident (9 KiB); 3 hits / 4 misses, 1 evicted, 2 invalidated"
+        );
     }
 
     #[test]

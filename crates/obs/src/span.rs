@@ -158,13 +158,20 @@ pub struct PlanTrace {
     /// Pages fully decoded and scanned.
     #[serde(default)]
     pub pages_scanned: u64,
+    /// Scanned segments that were resident in the store's segment cache.
+    #[serde(default)]
+    pub segments_cached: u64,
+    /// Bytes the scan pulled through the filesystem (0 when every
+    /// scanned segment was resident; `decode_bytes` counts them all).
+    #[serde(default)]
+    pub bytes_read: u64,
 }
 
 impl fmt::Display for PlanTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "total={}us admit={}us pin={}us exec={}us scan={}us gen={} cache={} segs p/z/s={}/{}/{} bytes={} rows={}",
+            "total={}us admit={}us pin={}us exec={}us scan={}us gen={} cache={} segs p/z/s={}/{}/{} bytes={} read={} resident={} rows={}",
             self.total_us,
             self.admission_wait_us,
             self.pin_us,
@@ -176,6 +183,8 @@ impl fmt::Display for PlanTrace {
             self.segments_zone_answered,
             self.segments_scanned,
             self.decode_bytes,
+            self.bytes_read,
+            self.segments_cached,
             self.rows_scanned,
         )?;
         if self.pages_total > 0 {
@@ -203,6 +212,8 @@ pub struct PlanMeters {
     cache_hits: CounterId,
     cache_misses: CounterId,
     decode_bytes: CounterId,
+    bytes_read: CounterId,
+    segments_cached: CounterId,
     segments_pruned: CounterId,
     segments_zone_answered: CounterId,
     segments_scanned: CounterId,
@@ -221,6 +232,8 @@ impl PlanMeters {
             cache_hits: reg.counter(&format!("{prefix}.cache_hits")),
             cache_misses: reg.counter(&format!("{prefix}.cache_misses")),
             decode_bytes: reg.counter(&format!("{prefix}.decode_bytes")),
+            bytes_read: reg.counter(&format!("{prefix}.bytes_read")),
+            segments_cached: reg.counter(&format!("{prefix}.segments_cached")),
             segments_pruned: reg.counter(&format!("{prefix}.segments_pruned")),
             segments_zone_answered: reg.counter(&format!("{prefix}.segments_zone_answered")),
             segments_scanned: reg.counter(&format!("{prefix}.segments_scanned")),
@@ -242,6 +255,8 @@ impl PlanMeters {
             // the populating scan's numbers and must not double-count.
             reg.observe(self.scan_us, plan.scan_us);
             reg.add(self.decode_bytes, plan.decode_bytes);
+            reg.add(self.bytes_read, plan.bytes_read);
+            reg.add(self.segments_cached, plan.segments_cached);
             reg.add(self.segments_pruned, plan.segments_pruned);
             reg.add(self.segments_zone_answered, plan.segments_zone_answered);
             reg.add(self.segments_scanned, plan.segments_scanned);
@@ -326,6 +341,8 @@ mod tests {
             pages_total: 12,
             pages_pruned: 9,
             pages_scanned: 3,
+            segments_cached: 1,
+            bytes_read: 0,
         };
         let json = serde_json::to_string(&plan).unwrap();
         let back: PlanTrace = serde_json::from_str(&json).unwrap();
@@ -335,6 +352,7 @@ mod tests {
         let s = plan.to_string();
         assert!(s.contains("cache=miss"), "{s}");
         assert!(s.contains("p/z/s=5/2/1"), "{s}");
+        assert!(s.contains("bytes=4096 read=0 resident=1"), "{s}");
         assert!(s.contains("pages p/s=9/3 of 12"), "{s}");
         // Pre-page traces (all page fields zero) render the old line.
         assert!(

@@ -24,7 +24,7 @@ use iri_bgp::types::Asn;
 use iri_core::input::{PeerKey, UpdateEvent};
 use iri_obs::registry::RegistrySnapshot;
 use iri_obs::PlanTrace;
-use iri_store::{Query, ScanStats};
+use iri_store::{Query, ScanStats, SegmentCacheStats};
 use serde::{Deserialize, Serialize};
 
 /// Exit code a malformed command or filter maps to (usage).
@@ -376,6 +376,10 @@ pub struct StatsBody {
     /// time that produced no answer.
     #[serde(default)]
     pub gate_abandon_wait_us: u64,
+    /// The live store's segment cache: entries, resident bytes, hits,
+    /// misses, evictions, invalidations (zeros from older servers).
+    #[serde(default)]
+    pub segment_cache: SegmentCacheStats,
 }
 
 /// One entry in the slow-query log: the worst requests the service has
@@ -408,6 +412,9 @@ pub struct MetricsBody {
     pub trace_dropped: u64,
     /// Ring capacity.
     pub trace_capacity: u64,
+    /// The live store's segment cache (zeros from older servers).
+    #[serde(default)]
+    pub segment_cache: SegmentCacheStats,
 }
 
 /// Health surface: is the service accepting work, and how close to its
@@ -436,6 +443,9 @@ pub struct HealthBody {
     pub retired_dirs: u64,
     /// Live result-cache entries.
     pub cache_entries: u64,
+    /// The live store's segment cache (zeros from older servers).
+    #[serde(default)]
+    pub segment_cache: SegmentCacheStats,
 }
 
 /// The outcome of one command.
@@ -643,6 +653,14 @@ mod tests {
                     trace_len: 6,
                     trace_dropped: 0,
                     trace_capacity: 4096,
+                    segment_cache: SegmentCacheStats {
+                        entries: 3,
+                        resident_bytes: 4096,
+                        hits: 9,
+                        misses: 3,
+                        evictions: 1,
+                        invalidations: 2,
+                    },
                 },
             },
             plan: None,
@@ -666,6 +684,7 @@ mod tests {
                     draining: false,
                     retired_dirs: 0,
                     cache_entries: 5,
+                    segment_cache: SegmentCacheStats::default(),
                 },
             },
             plan: None,

@@ -520,6 +520,7 @@ impl ServeCore {
             trace_len: tracer.len() as u64,
             trace_dropped: tracer.dropped(),
             trace_capacity: tracer.capacity() as u64,
+            segment_cache: self.live.cache_stats(),
         }
     }
 
@@ -550,6 +551,7 @@ impl ServeCore {
             draining,
             retired_dirs: live.retired_dirs,
             cache_entries: cache.entries,
+            segment_cache: self.live.cache_stats(),
         }
     }
 
@@ -599,6 +601,7 @@ impl ServeCore {
             gate_wait_total_us: self.counter_value("serve.gate_wait_total_us"),
             gate_abandoned: self.counter_value("serve.gate_abandoned"),
             gate_abandon_wait_us: self.counter_value("serve.gate_abandon_wait_us"),
+            segment_cache: self.live.cache_stats(),
         }
     }
 
@@ -756,6 +759,8 @@ fn copy_scan_stats(resp: &Response, plan: &mut PlanTrace) {
     plan.pages_total = stats.pages_total;
     plan.pages_pruned = stats.pages_pruned + stats.pages_zone_answered;
     plan.pages_scanned = stats.pages_scanned;
+    plan.segments_cached = stats.segments_cached;
+    plan.bytes_read = stats.bytes_read;
 }
 
 fn store_error(e: &StoreError) -> Response {

@@ -44,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod durable;
 pub mod ingest;
 pub mod live;
@@ -61,6 +62,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
+pub use cache::SegmentCacheStats;
 pub use durable::{CommitStep, QuarantinedFile, Recovery, JOURNAL_FILE, QUARANTINE_DIR};
 pub use ingest::{
     compact, compact_with, compact_with_opts, ingest_mrt, CompactOptions, CompactReport,
@@ -72,7 +74,9 @@ pub use query::{
     build_manifest, parse_cause_label, parse_class_label, Manifest, OpenOptions, Query, ScanStats,
     SegmentMeta, Store,
 };
-pub use segment::{PageBuf, PageMeta, SegmentBuilder, SegmentData, SegmentFile, DEFAULT_PAGE_ROWS};
+pub use segment::{
+    ColumnSet, PageBuf, PageMeta, SegmentBuilder, SegmentData, SegmentFile, DEFAULT_PAGE_ROWS,
+};
 pub use watch::{WatchConfig, WatchReport, WatchState, Watcher};
 
 /// Number of logical shards an event stream is split into. Part of the

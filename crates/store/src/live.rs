@@ -37,16 +37,17 @@
 //! at `g` is the one moved aside by the earliest commit after `g` that
 //! touched the file.
 
+use crate::cache::{SegmentCache, SegmentCacheStats};
 use crate::durable::{self, CommitStep};
 use crate::ingest::{
     self, retired_dir_for, CompactOptions, CompactReport, IngestConfig, IngestOutcome, StoreWriter,
 };
-use crate::query::{Manifest, OpenOptions, Store};
+use crate::query::{Manifest, OpenOptions, SegmentMeta, Store};
 use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, RETIRED_DIR};
 use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -193,6 +194,9 @@ pub struct LiveStore {
     pins: Arc<Mutex<PinTable>>,
     write_lock: Mutex<()>,
     counters: Mutex<LiveCounters>,
+    /// Shared into every snapshot, so a segment one reader loaded is
+    /// resident for the next; pruned by the commits that retire files.
+    cache: Arc<SegmentCache>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>, what: &str) -> std::sync::MutexGuard<'a, T> {
@@ -235,6 +239,7 @@ impl LiveStore {
             pins: Arc::new(Mutex::new(PinTable::default())),
             write_lock: Mutex::new(()),
             counters: Mutex::new(LiveCounters::default()),
+            cache: SegmentCache::new(),
         })
     }
 
@@ -271,7 +276,12 @@ impl LiveStore {
                 generation,
             }
         };
-        let store = Store::pinned_snapshot(&self.dir, self.fs.clone(), manifest.clone());
+        let store = Store::pinned_snapshot(
+            &self.dir,
+            self.fs.clone(),
+            manifest.clone(),
+            Arc::clone(&self.cache),
+        );
         drop(manifest);
         Snapshot {
             generation,
@@ -326,7 +336,7 @@ impl LiveStore {
         };
         let (report, manifest) =
             ingest::compact_with_opts(&self.dir, target_rows, &self.fs, self.retry, opts)?;
-        *lock(&self.manifest, "manifest") = manifest;
+        self.publish_retiring(manifest);
         lock(&self.counters, "counters").compactions += 1;
         self.gc();
         Ok(report)
@@ -349,10 +359,31 @@ impl LiveStore {
             .with_retry(self.retry)
             .with_retire_replaced(true);
         let outcome = ingest::ingest_mrt(&self.dir, reader, base_time, &cfg)?;
-        *lock(&self.manifest, "manifest") = outcome.manifest.clone();
+        self.publish_retiring(outcome.manifest.clone());
         lock(&self.counters, "counters").ingests += 1;
         self.gc();
         Ok(outcome)
+    }
+
+    /// Publishes the manifest of a commit that replaced segment files
+    /// and drops the cache entries of the ones it retired — everything
+    /// the previous manifest named that the new one does not. A reader
+    /// still pinned on an older generation reloads what it needs from
+    /// the retired tree, under the old entry's own key.
+    fn publish_retiring(&self, manifest: Manifest) {
+        let mut current = lock(&self.manifest, "manifest");
+        {
+            let kept: HashSet<&SegmentMeta> = manifest.segments.iter().collect();
+            self.cache
+                .invalidate(current.segments.iter().filter(|m| !kept.contains(m)));
+        }
+        *current = manifest;
+    }
+
+    /// Accounting of the segment cache every snapshot reads through.
+    #[must_use]
+    pub fn cache_stats(&self) -> SegmentCacheStats {
+        self.cache.stats()
     }
 
     /// Reclaims retired generation directories no live pin can still

@@ -27,6 +27,7 @@
 //! [`Store::execute`]: crate::Store::execute
 
 use crate::query::Query;
+use crate::segment::ColumnSet;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -79,6 +80,43 @@ impl PlanKind {
             PlanKind::SumBytes => "sum-bytes",
             PlanKind::TimeSeries { .. } => "time-series",
         }
+    }
+
+    /// The columns folding this answer shape reads off a surviving row.
+    /// [`PlanKind::Stream`] materialises whole events, and so does any
+    /// plan run through [`crate::Store::execute`]'s row visitor.
+    #[must_use]
+    pub fn fold_columns(&self) -> ColumnSet {
+        match self {
+            PlanKind::Stream => ColumnSet::ALL,
+            PlanKind::CountByClass | PlanKind::CountByCause => ColumnSet::CC,
+            PlanKind::CountByPeer => ColumnSet::PEER,
+            PlanKind::CountByPrefix => ColumnSet::PREFIX,
+            PlanKind::SumBytes => ColumnSet::SIZE,
+            PlanKind::TimeSeries { .. } => ColumnSet::TIME,
+        }
+    }
+
+    /// Every column a scan of this shape under `query` may decode: the
+    /// fold columns plus one per predicate. The time column is listed
+    /// whenever the window is bounded, though a page lying fully inside
+    /// the window skips it unless the fold bins by time.
+    #[must_use]
+    pub fn columns(&self, query: &Query) -> ColumnSet {
+        let mut cols = self.fold_columns();
+        if query.from_ms > 0 || query.to_ms < u64::MAX {
+            cols = cols.with(ColumnSet::TIME);
+        }
+        if query.peer_asn.is_some() {
+            cols = cols.with(ColumnSet::PEER);
+        }
+        if query.prefix.is_some() {
+            cols = cols.with(ColumnSet::PREFIX);
+        }
+        if query.class.is_some() || query.cause.is_some() {
+            cols = cols.with(ColumnSet::CC);
+        }
+        cols
     }
 
     pub(crate) fn zone_mode(&self) -> ZoneMode {
@@ -246,6 +284,7 @@ impl PhysicalPlan {
                 preds.join(" ")
             }
         );
+        let _ = writeln!(out, "columns: {}", self.kind.columns(q));
         let _ = writeln!(
             out,
             "segments: {} total — {} pruned, {} zone-answered, {} scanned",
@@ -322,6 +361,29 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("time-disjoint"), "{text}");
+        assert!(text.contains("columns: time class/cause\n"), "{text}");
+    }
+
+    #[test]
+    fn columns_follow_the_answer_shape_and_the_predicates() {
+        let open = Query::default();
+        assert_eq!(PlanKind::Stream.columns(&open), ColumnSet::ALL);
+        assert_eq!(PlanKind::CountByCause.columns(&open), ColumnSet::CC);
+        assert_eq!(PlanKind::SumBytes.columns(&open), ColumnSet::SIZE);
+        let narrowed = open
+            .clone()
+            .time_range_ms(5, 50)
+            .peer(iri_bgp::types::Asn(701));
+        assert_eq!(
+            PlanKind::CountByPrefix.columns(&narrowed),
+            ColumnSet::PREFIX
+                .with(ColumnSet::TIME)
+                .with(ColumnSet::PEER)
+        );
+        assert_eq!(
+            PlanKind::TimeSeries { bin_ms: 1 }.columns(&open.class_labelled("WWDup").unwrap()),
+            ColumnSet::TIME.with(ColumnSet::CC)
+        );
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! number the `bench_store` harness tracks: the fraction of the archive a
 //! time-windowed query never had to read.
 
+use crate::cache::{SegmentCache, SegmentCacheStats};
 use crate::durable::{self, Recovery};
 use crate::plan::{PhysicalPlan, PlanKind, PruneReason, SegmentFate, SegmentStep, ZoneMode};
 use crate::segment::{
-    bloom_contains, peer_bloom_hash, prefix_bloom_hash, PageBuf, PageMeta, SegmentData,
+    bloom_contains, peer_bloom_hash, prefix_bloom_hash, ColumnSet, PageBuf, PageMeta, SegmentData,
     SegmentFile, BLOOM_WORDS,
 };
 use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, MANIFEST_FILE};
@@ -32,14 +33,18 @@ use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Manifest version this crate writes.
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// One segment's manifest entry: location plus the zone maps replicated
-/// from the segment footer so pruning needs no file I/O.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// from the segment footer so pruning needs no file I/O. The whole entry
+/// — not the file name, which compaction reuses — is the segment's
+/// identity: it keys the segment cache, and a loaded file is held
+/// against every field of it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SegmentMeta {
     /// File name relative to the store directory.
     pub file: String,
@@ -398,7 +403,8 @@ pub struct ScanStats {
     pub segments_quarantined: u64,
     /// Total encoded bytes in the manifest.
     pub bytes_total: u64,
-    /// Encoded bytes actually read.
+    /// Encoded bytes of the segments scanned (see `bytes_read` for what
+    /// this query actually pulled through the filesystem).
     pub bytes_scanned: u64,
     /// Rows decoded and tested.
     pub rows_scanned: u64,
@@ -423,6 +429,15 @@ pub struct ScanStats {
     /// Pages actually decoded and row-filtered.
     #[serde(default)]
     pub pages_scanned: u64,
+    /// Scanned segments served from the segment cache: already read,
+    /// checksummed and parsed by an earlier query.
+    #[serde(default)]
+    pub segments_cached: u64,
+    /// Bytes that came through the filesystem for this query — 0 when
+    /// every scanned segment was resident. (`bytes_scanned` counts the
+    /// encoded size of every scanned segment, resident or not.)
+    #[serde(default)]
+    pub bytes_read: u64,
 }
 
 impl ScanStats {
@@ -452,6 +467,8 @@ impl ScanStats {
         self.pages_pruned += delta.pages_pruned;
         self.pages_zone_answered += delta.pages_zone_answered;
         self.pages_scanned += delta.pages_scanned;
+        self.segments_cached += delta.segments_cached;
+        self.bytes_read += delta.bytes_read;
     }
 }
 
@@ -536,89 +553,91 @@ fn zone_answerable(
 }
 
 // ---------------------------------------------------------------------
-// Segment loading and scanning: free functions rather than `Store`
-// methods so the parallel executor can run them from worker threads
-// without borrowing the whole store handle.
+// Segment loading and scanning: free functions over a `Source` rather
+// than `Store` methods so the parallel executor can run them from
+// worker threads without borrowing the whole store handle.
 // ---------------------------------------------------------------------
 
-/// Reads and parses a segment lazily (dictionaries + page directory, no
-/// row decode), with the pinned-snapshot `retired/` fallback.
-fn load_file(
-    fs: &SharedFs,
-    dir: &Path,
+/// Where a scan step finds its segments: the directory, the filesystem,
+/// the pin (if any) and the handle's segment cache.
+#[derive(Clone, Copy)]
+struct Source<'a> {
+    fs: &'a SharedFs,
+    dir: &'a Path,
+    /// `Some(g)` on pinned snapshots: a segment that no longer matches
+    /// its manifest entry at the main path (its name was reused by a
+    /// newer commit) is looked up under `retired/`.
     snapshot_gen: Option<u64>,
-    meta: &SegmentMeta,
-) -> Result<SegmentFile, StoreError> {
-    let path = dir.join(&meta.file);
-    let primary = (|| {
-        let bytes = fs.read(&path).map_err(|e| StoreError::io(&path, e))?;
-        // Pinned snapshots must detect a segment whose name was
-        // reused by a newer commit; the encoding is deterministic,
-        // so byte length + row count identify the pinned version.
-        if snapshot_gen.is_some() && bytes.len() as u64 != meta.bytes {
-            return Err(StoreError::corrupt(
-                &path,
-                format!(
-                    "segment is {} bytes, pinned manifest says {}",
-                    bytes.len(),
-                    meta.bytes
-                ),
-            ));
-        }
-        let seg = SegmentFile::parse(bytes).map_err(|e| e.with_path(&path))?;
-        if u64::from(seg.rows) != meta.rows {
-            return Err(StoreError::corrupt(
-                &path,
-                format!(
-                    "segment holds {} rows, manifest says {}",
-                    seg.rows, meta.rows
-                ),
-            ));
-        }
-        Ok(seg)
-    })();
-    match primary {
-        Ok(seg) => Ok(seg),
-        Err(e) => match snapshot_gen.and_then(|g| load_retired(fs, dir, meta, g)) {
-            Some(seg) => Ok(seg),
-            None => Err(e),
-        },
-    }
+    cache: &'a SegmentCache,
 }
 
-/// Looks for the pinned version of a replaced segment under
-/// `retired/gNNNNNNNNNN/`. The version a reader pinned at generation
-/// `g` needs is the one moved aside by the *earliest* commit after
-/// `g` that touched the file, so candidate directories are walked in
-/// ascending generation order. Every candidate is validated against
-/// the pinned manifest entry before being served.
-fn load_retired(fs: &SharedFs, dir: &Path, meta: &SegmentMeta, pinned: u64) -> Option<SegmentFile> {
-    let root = dir.join(crate::RETIRED_DIR);
-    let names = fs.list(&root).ok()?;
-    let mut gens: Vec<(u64, String)> = names
-        .into_iter()
-        .filter_map(|n| {
-            let g = n.strip_prefix('g')?.parse::<u64>().ok()?;
-            (g > pinned).then_some((g, n))
-        })
-        .collect();
-    gens.sort();
-    for (_, name) in gens {
-        let path = root.join(&name).join(&meta.file);
-        let Ok(bytes) = fs.read(&path) else {
-            continue;
-        };
-        if bytes.len() as u64 != meta.bytes {
-            continue;
-        }
-        let Ok(seg) = SegmentFile::parse(bytes) else {
-            continue;
-        };
-        if u64::from(seg.rows) == meta.rows {
-            return Some(seg);
-        }
+impl Source<'_> {
+    /// Reads one candidate file for `meta`, counting its bytes into
+    /// `read`: checksum, lazy parse (page directory, no row decode) and
+    /// the cross-check against the manifest entry.
+    fn read(
+        &self,
+        path: &Path,
+        meta: &SegmentMeta,
+        read: &mut u64,
+    ) -> Result<SegmentFile, StoreError> {
+        let bytes = self.fs.read(path).map_err(|e| StoreError::io(path, e))?;
+        *read += bytes.len() as u64;
+        let seg = SegmentFile::parse(bytes).map_err(|e| e.with_path(path))?;
+        seg.check_meta(meta).map_err(|e| e.with_path(path))?;
+        Ok(seg)
     }
-    None
+
+    /// Loads a segment from the filesystem, past the cache: the main
+    /// path first, then — on a pinned snapshot — the retired tree.
+    fn load_uncached(&self, meta: &SegmentMeta, read: &mut u64) -> Result<SegmentFile, StoreError> {
+        self.read(&self.dir.join(&meta.file), meta, read)
+            .or_else(|e| {
+                self.snapshot_gen
+                    .and_then(|g| self.load_retired(meta, g, read))
+                    .ok_or(e)
+            })
+    }
+
+    /// Lookup-or-load: the resident segment for exactly this manifest
+    /// entry, or a validated load that becomes resident. Failed loads
+    /// are never cached, so the next query retries them.
+    fn load(
+        &self,
+        meta: &SegmentMeta,
+        stats: &mut ScanStats,
+    ) -> Result<Arc<SegmentFile>, StoreError> {
+        if let Some(seg) = self.cache.get(meta) {
+            stats.segments_cached += 1;
+            return Ok(seg);
+        }
+        let seg = Arc::new(self.load_uncached(meta, &mut stats.bytes_read)?);
+        self.cache.insert(meta, &seg);
+        Ok(seg)
+    }
+
+    /// Looks for the pinned version of a replaced segment under
+    /// `retired/gNNNNNNNNNN/`. The version a reader pinned at generation
+    /// `g` needs is the one moved aside by the *earliest* commit after
+    /// `g` that touched the file, so candidate directories are walked in
+    /// ascending generation order. Every candidate is validated against
+    /// the pinned manifest entry before being served.
+    fn load_retired(&self, meta: &SegmentMeta, pinned: u64, read: &mut u64) -> Option<SegmentFile> {
+        let root = self.dir.join(crate::RETIRED_DIR);
+        let names = self.fs.list(&root).ok()?;
+        let mut gens: Vec<(u64, String)> = names
+            .into_iter()
+            .filter_map(|n| {
+                let g = n.strip_prefix('g')?.parse::<u64>().ok()?;
+                (g > pinned).then_some((g, n))
+            })
+            .collect();
+        gens.sort();
+        gens.into_iter().find_map(|(_, name)| {
+            self.read(&root.join(name).join(&meta.file), meta, read)
+                .ok()
+        })
+    }
 }
 
 /// Per-segment scan outcome: the stats delta plus any zone-answered
@@ -629,16 +648,174 @@ struct ScanDelta {
     zone: ZoneCounts,
 }
 
-/// One parallel scan step's buffered outcome, tagged with its plan step
-/// index so waves can flush in deterministic plan order.
-type WaveResult = (usize, Result<(ScanDelta, Vec<StoredEvent>), StoreError>);
+/// What a scan does with the rows that survive: the all-columns row
+/// visitor of [`Store::execute`]/[`Store::scan`], or an aggregate
+/// [`Part`] folding straight over the decoded columns.
+trait Sink {
+    /// Takes one materialised row — all the forced-full-scan path and
+    /// the row visitor ever see.
+    fn row(&mut self, ev: &StoredEvent);
+
+    /// Takes the rows `buf.sel` selects of a decoded page of `seg`.
+    fn fold(&mut self, seg: &SegmentFile, buf: &PageBuf) {
+        for &j in &buf.sel {
+            self.row(&seg.event(buf, j as usize));
+        }
+    }
+
+    /// The columns [`Sink::fold`] reads, given the plan's answer shape.
+    fn columns(&self, kind: PlanKind) -> ColumnSet {
+        kind.fold_columns()
+    }
+
+    /// An empty partial of this sink's shape for one parallel scan step.
+    fn part(&self) -> Part;
+
+    /// Folds a finished step's partial in; the executor calls this in
+    /// plan order.
+    fn merge(&mut self, part: Part);
+}
+
+/// The row visitor as a [`Sink`]: every column, one event at a time.
+struct Visit<'a>(&'a mut dyn FnMut(&StoredEvent));
+
+impl Sink for Visit<'_> {
+    fn row(&mut self, ev: &StoredEvent) {
+        (self.0)(ev);
+    }
+
+    fn columns(&self, _kind: PlanKind) -> ColumnSet {
+        ColumnSet::ALL
+    }
+
+    fn part(&self) -> Part {
+        Part::Rows(Vec::new())
+    }
+
+    fn merge(&mut self, part: Part) {
+        let Part::Rows(rows) = part else {
+            unreachable!("{part:?} is no partial of a row visitor")
+        };
+        rows.iter().for_each(|ev| (self.0)(ev));
+    }
+}
+
+/// An aggregate in progress, over a whole query or one parallel step.
+#[derive(Debug)]
+enum Part {
+    /// A parallel step's buffered rows on their way to a [`Visit`].
+    Rows(Vec<StoredEvent>),
+    /// Rows per packed `(cause<<3)|class` byte: both grouped counts.
+    Cc(Box<[u64; 128]>),
+    /// Rows per peer AS.
+    Peers(FxHashMap<Asn, u64>),
+    /// Rows per prefix.
+    Prefixes(FxHashMap<Prefix, u64>),
+    /// NLRI wire bytes.
+    Bytes(u64),
+    /// Rows per `bin_ms` bin from `start`; rows outside `bins` drop.
+    Series {
+        start: u64,
+        bin_ms: u64,
+        bins: Vec<u64>,
+    },
+    /// A parallel step's matching times on their way to a `Series`
+    /// (a dense partial per step would cost a full series each).
+    Times(Vec<u64>),
+}
+
+impl Part {
+    fn cc() -> Part {
+        Part::Cc(Box::new([0; 128]))
+    }
+
+    fn time(&mut self, t: u64) {
+        match self {
+            Part::Series {
+                start,
+                bin_ms,
+                bins,
+            } => {
+                let slot = t
+                    .checked_sub(*start)
+                    .and_then(|d| bins.get_mut(usize::try_from(d / *bin_ms).ok()?));
+                if let Some(slot) = slot {
+                    *slot += 1;
+                }
+            }
+            Part::Times(times) => times.push(t),
+            _ => {}
+        }
+    }
+}
+
+impl Sink for Part {
+    fn row(&mut self, ev: &StoredEvent) {
+        match self {
+            Part::Rows(rows) => rows.push(*ev),
+            Part::Cc(hist) => hist[(ev.cause.index() << 3) | ev.class.index()] += 1,
+            Part::Peers(counts) => *counts.entry(ev.peer.asn).or_insert(0) += 1,
+            Part::Prefixes(counts) => *counts.entry(ev.prefix).or_insert(0) += 1,
+            Part::Bytes(total) => *total += u64::from(ev.size),
+            Part::Series { .. } | Part::Times(_) => self.time(ev.time_ms),
+        }
+    }
+
+    fn fold(&mut self, seg: &SegmentFile, buf: &PageBuf) {
+        let sel = buf.sel.iter().map(|&j| j as usize);
+        match self {
+            Part::Rows(rows) => rows.extend(sel.map(|j| seg.event(buf, j))),
+            Part::Cc(hist) => sel.for_each(|j| hist[usize::from(buf.cc[j])] += 1),
+            Part::Peers(counts) => {
+                sel.for_each(|j| *counts.entry(seg.peer(buf.peer_ids[j]).asn).or_insert(0) += 1);
+            }
+            Part::Prefixes(counts) => {
+                sel.for_each(|j| *counts.entry(seg.prefix(buf.prefix_ids[j])).or_insert(0) += 1);
+            }
+            Part::Bytes(total) => *total += sel.map(|j| u64::from(buf.sizes[j])).sum::<u64>(),
+            Part::Series { .. } | Part::Times(_) => sel.for_each(|j| self.time(buf.times[j])),
+        }
+    }
+
+    fn part(&self) -> Part {
+        match self {
+            Part::Rows(_) => Part::Rows(Vec::new()),
+            Part::Cc(_) => Part::cc(),
+            Part::Peers(_) => Part::Peers(FxHashMap::default()),
+            Part::Prefixes(_) => Part::Prefixes(FxHashMap::default()),
+            Part::Bytes(_) => Part::Bytes(0),
+            Part::Series { .. } | Part::Times(_) => Part::Times(Vec::new()),
+        }
+    }
+
+    fn merge(&mut self, part: Part) {
+        match (self, part) {
+            (Part::Cc(all), Part::Cc(hist)) => {
+                all.iter_mut().zip(hist.iter()).for_each(|(a, n)| *a += n);
+            }
+            (Part::Peers(all), Part::Peers(counts)) => {
+                counts
+                    .into_iter()
+                    .for_each(|(k, n)| *all.entry(k).or_insert(0) += n);
+            }
+            (Part::Prefixes(all), Part::Prefixes(counts)) => {
+                counts
+                    .into_iter()
+                    .for_each(|(k, n)| *all.entry(k).or_insert(0) += n);
+            }
+            (Part::Bytes(all), Part::Bytes(total)) => *all += total,
+            (all, Part::Times(times)) => times.into_iter().for_each(|t| all.time(t)),
+            (all, part) => unreachable!("{part:?} is no partial of {all:?}"),
+        }
+    }
+}
 
 /// Dictionary-code predicates compiled once per segment: row tests
 /// compare packed bytes/ids and never materialize non-matching rows.
 struct CodePredicates {
-    /// Bitset over peer dictionary ids matching the queried AS
-    /// (several ids can share an AS across peer addresses).
-    peer_ids: Option<Vec<u64>>,
+    /// The queried peer AS (several dictionary ids can share an AS
+    /// across peer addresses, so ids are tested through the dictionary).
+    peer_asn: Option<Asn>,
     /// Prefix dictionary id of the queried prefix.
     prefix_id: Option<u32>,
     /// Packed class/cause byte test: `(cc & mask) == want`.
@@ -650,28 +827,13 @@ impl CodePredicates {
     /// `None` when a dictionary predicate has no id in this segment —
     /// the segment can't match at all (bloom false positive).
     fn compile(query: &Query, seg: &SegmentFile) -> Option<CodePredicates> {
-        let peer_ids = match query.peer_asn {
-            Some(asn) => {
-                let mut bits = vec![0u64; seg.peer_dict.len().div_ceil(64)];
-                let mut any = false;
-                for (i, p) in seg.peer_dict.iter().enumerate() {
-                    if p.asn == asn {
-                        bits[i / 64] |= 1 << (i % 64);
-                        any = true;
-                    }
-                }
-                if !any {
-                    return None;
-                }
-                Some(bits)
+        if let Some(asn) = query.peer_asn {
+            if !(0..seg.peer_count()).any(|id| seg.peer(id).asn == asn) {
+                return None;
             }
-            None => None,
-        };
+        }
         let prefix_id = match query.prefix {
-            Some(p) => match seg.prefix_dict.iter().position(|&d| d == p) {
-                Some(i) => Some(i as u32),
-                None => return None,
-            },
+            Some(p) => Some((0..seg.prefix_count()).find(|&id| seg.prefix(id) == p)?),
             None => None,
         };
         let (cc_mask, cc_want) = match (query.class, query.cause) {
@@ -681,59 +843,75 @@ impl CodePredicates {
             (Some(cl), Some(ca)) => (0x7f, ((ca.index() as u8) << 3) | cl.index() as u8),
         };
         Some(CodePredicates {
-            peer_ids,
+            peer_asn: query.peer_asn,
             prefix_id,
             cc_mask,
             cc_want,
         })
     }
 
-    #[inline]
-    fn matches(&self, query: &Query, buf: &PageBuf, j: usize) -> bool {
-        let t = buf.times[j];
-        if t < query.from_ms || t >= query.to_ms {
-            return false;
+    /// Decodes `page` into `buf` one predicate at a time, cheapest
+    /// first, narrowing `buf.sel` as it goes: the packed class/cause
+    /// byte before any varint, the time column only when the page
+    /// straddles the window, then the dictionary codes. A page whose
+    /// selection empties decodes nothing further; survivors get the
+    /// `fold` columns the sink reads.
+    fn select(
+        &self,
+        seg: &SegmentFile,
+        page: &PageMeta,
+        query: &Query,
+        fold: ColumnSet,
+        buf: &mut PageBuf,
+    ) -> Result<(), StoreError> {
+        if self.cc_mask == 0 {
+            seg.decode_page(page, ColumnSet::NONE, buf)?;
+        } else {
+            seg.decode_page(page, ColumnSet::CC, buf)?;
+            buf.sel
+                .retain(|&j| buf.cc[j as usize] & self.cc_mask == self.cc_want);
         }
-        if (buf.cc[j] & self.cc_mask) != self.cc_want {
-            return false;
+        if !buf.sel.is_empty() && !query.covers_page_time(page) {
+            seg.decode_columns(page, ColumnSet::TIME, buf)?;
+            buf.sel
+                .retain(|&j| (query.from_ms..query.to_ms).contains(&buf.times[j as usize]));
         }
-        if let Some(bits) = &self.peer_ids {
-            let id = buf.peer_ids[j] as usize;
-            if bits[id / 64] & (1 << (id % 64)) == 0 {
-                return false;
-            }
+        if let (false, Some(asn)) = (buf.sel.is_empty(), self.peer_asn) {
+            seg.decode_columns(page, ColumnSet::PEER, buf)?;
+            buf.sel
+                .retain(|&j| seg.peer(buf.peer_ids[j as usize]).asn == asn);
         }
-        if let Some(id) = self.prefix_id {
-            if buf.prefix_ids[j] != id {
-                return false;
-            }
+        if let (false, Some(id)) = (buf.sel.is_empty(), self.prefix_id) {
+            seg.decode_columns(page, ColumnSet::PREFIX, buf)?;
+            buf.sel.retain(|&j| buf.prefix_ids[j as usize] == id);
         }
-        true
+        if !buf.sel.is_empty() {
+            seg.decode_columns(page, fold, buf)?;
+        }
+        Ok(())
     }
 }
 
 /// Scans one segment page-wise with code pushdown: pages are pruned or
-/// zone-answered from the directory, survivors are decoded into `buf`
-/// and row-filtered on packed codes, and only matching rows are
-/// materialized and emitted — in row order.
+/// zone-answered from the directory, survivors are decoded column by
+/// column into `buf` and row-filtered on packed codes, and only the
+/// selected rows reach the sink — in row order.
 ///
-/// One sharp edge: emission is incremental, so a decode failure on a
+/// One sharp edge: folding is incremental, so a decode failure on a
 /// later page (impossible short of a checksum collision, since the
-/// whole image was checksummed at parse) aborts a segment that already
-/// emitted rows; the tolerant executor then skips the remainder.
-#[allow(clippy::too_many_arguments)]
+/// whole image was checksummed at load) aborts a segment that already
+/// folded rows; the tolerant executor then skips the remainder.
 fn scan_segment(
-    fs: &SharedFs,
-    dir: &Path,
-    snapshot_gen: Option<u64>,
+    src: Source<'_>,
     meta: &SegmentMeta,
     query: &Query,
     mode: ZoneMode,
+    fold: ColumnSet,
     buf: &mut PageBuf,
-    emit: &mut dyn FnMut(&StoredEvent),
+    sink: &mut dyn Sink,
 ) -> Result<ScanDelta, StoreError> {
     let mut d = ScanDelta::default();
-    let seg = load_file(fs, dir, snapshot_gen, meta)?;
+    let seg = src.load(meta, &mut d.stats)?;
     d.stats.segments_scanned = 1;
     d.stats.bytes_scanned = meta.bytes;
     let n_pages = seg.pages().len() as u64;
@@ -756,34 +934,34 @@ fn scan_segment(
             d.zone.add_page(page);
             continue;
         }
-        seg.decode_page(page, buf)
-            .map_err(|e| e.with_path(&dir.join(&meta.file)))?;
+        preds
+            .select(&seg, page, query, fold, buf)
+            .map_err(|e| e.with_path(&src.dir.join(&meta.file)))?;
         d.stats.pages_scanned += 1;
         d.stats.rows_scanned += u64::from(page.rows);
-        for j in 0..buf.len() {
-            if preds.matches(query, buf, j) {
-                d.stats.rows_matched += 1;
-                emit(&seg.event(buf, j));
-            }
+        d.stats.rows_matched += buf.sel.len() as u64;
+        if !buf.sel.is_empty() {
+            sink.fold(&seg, buf);
         }
     }
     Ok(d)
 }
 
-/// The forced-full-scan path: eager whole-segment decode and filtering
-/// on materialized fields, bypassing pages and code pushdown. The
-/// differential-testing baseline paged scans must match byte-for-byte.
+/// The forced-full-scan path: every query reads the file through
+/// `StoreFs` (never the segment cache), decodes the whole segment
+/// eagerly and filters on materialized fields, bypassing pages, code
+/// pushdown and column folds. The differential-testing baseline paged
+/// scans must match byte-for-byte.
 fn scan_segment_eager(
-    fs: &SharedFs,
-    dir: &Path,
-    snapshot_gen: Option<u64>,
+    src: Source<'_>,
     meta: &SegmentMeta,
     query: &Query,
-    emit: &mut dyn FnMut(&StoredEvent),
+    sink: &mut dyn Sink,
 ) -> Result<ScanDelta, StoreError> {
     let mut d = ScanDelta::default();
-    let file = load_file(fs, dir, snapshot_gen, meta)?;
-    let seg = SegmentData::decode(file.image()).map_err(|e| e.with_path(&dir.join(&meta.file)))?;
+    let file = src.load_uncached(meta, &mut d.stats.bytes_read)?;
+    let seg =
+        SegmentData::decode(file.image()).map_err(|e| e.with_path(&src.dir.join(&meta.file)))?;
     d.stats.segments_scanned = 1;
     d.stats.bytes_scanned = meta.bytes;
     d.stats.rows_scanned = seg.len() as u64;
@@ -838,9 +1016,157 @@ fn scan_segment_eager(
             }
         }
         d.stats.rows_matched += 1;
-        emit(&seg.event(i));
+        sink.row(&seg.event(i));
     }
     Ok(d)
+}
+
+/// One plan execution's fixed context, shared by the serial loop and
+/// the parallel workers.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    src: Source<'a>,
+    query: &'a Query,
+    mode: ZoneMode,
+    /// The columns the sink folds over.
+    fold: ColumnSet,
+    full_scan: bool,
+    strict: bool,
+}
+
+impl Run<'_> {
+    fn scan(
+        &self,
+        meta: &SegmentMeta,
+        buf: &mut PageBuf,
+        sink: &mut dyn Sink,
+    ) -> Result<ScanDelta, StoreError> {
+        if self.full_scan {
+            scan_segment_eager(self.src, meta, self.query, sink)
+        } else {
+            scan_segment(self.src, meta, self.query, self.mode, self.fold, buf, sink)
+        }
+    }
+
+    /// Folds one scan step's outcome into the query totals. A segment
+    /// that validated at open can still fail here — damaged after open,
+    /// or a fault-injected read. Degrade gracefully unless strict: skip
+    /// it, report it, and let the next open() move it to quarantine/.
+    fn settle<T>(
+        &self,
+        scanned: Result<(ScanDelta, T), StoreError>,
+        stats: &mut ScanStats,
+        zone: &mut ZoneCounts,
+    ) -> Result<Option<T>, StoreError> {
+        match scanned {
+            Ok((delta, rest)) => {
+                stats.absorb(&delta.stats);
+                zone.merge(&delta.zone);
+                Ok(Some(rest))
+            }
+            Err(e) if !self.strict && quarantineable(&e) => {
+                stats.segments_quarantined += 1;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Runs one step on the caller's thread, folding rows directly.
+    fn step_serial(
+        &self,
+        step: &SegmentStep,
+        meta: &SegmentMeta,
+        buf: &mut PageBuf,
+        stats: &mut ScanStats,
+        zone: &mut ZoneCounts,
+        sink: &mut dyn Sink,
+    ) -> Result<(), StoreError> {
+        stats.segments_total += 1;
+        stats.bytes_total += meta.bytes;
+        stats.pages_total += meta.pages;
+        match step.fate {
+            SegmentFate::Pruned(_) => {
+                stats.segments_pruned += 1;
+                stats.pages_pruned += meta.pages;
+            }
+            SegmentFate::ZoneAnswered => {
+                stats.segments_zone_answered += 1;
+                stats.pages_zone_answered += meta.pages;
+                stats.rows_matched += meta.rows;
+                zone.add_segment(meta);
+            }
+            SegmentFate::Scan => {
+                let scanned = self.scan(meta, buf, sink).map(|delta| (delta, ()));
+                self.settle(scanned, stats, zone)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The parallel path: pruned and zone-answered steps are settled
+    /// inline (no I/O), scan steps fan out through the pipeline's
+    /// `par_map` in bounded waves, each into its own [`Part`], and each
+    /// wave's parts are merged in step order — so a row visitor sees
+    /// exactly the serial order and results stay byte-identical at any
+    /// job count. Only scan steps fold rows, and steps enter waves in
+    /// plan order, so merging completed waves in order preserves the
+    /// global (shard, seq, row) contract.
+    fn parallel<'s>(
+        &self,
+        steps: impl Iterator<Item = (&'s SegmentStep, &'s SegmentMeta)>,
+        jobs: usize,
+        stats: &mut ScanStats,
+        zone: &mut ZoneCounts,
+        sink: &mut dyn Sink,
+    ) -> Result<(), StoreError> {
+        let wave = jobs.saturating_mul(3).max(1);
+        let mut pending: Vec<(&SegmentMeta, Part)> = Vec::new();
+        let mut buf = PageBuf::new();
+        for (step, meta) in steps {
+            if step.fate == SegmentFate::Scan {
+                // Totals are accounted at queue time; the scan's own
+                // delta merges back when its wave is flushed.
+                stats.segments_total += 1;
+                stats.bytes_total += meta.bytes;
+                stats.pages_total += meta.pages;
+                pending.push((meta, sink.part()));
+                if pending.len() == wave {
+                    self.wave(&mut pending, jobs, stats, zone, sink)?;
+                }
+                continue;
+            }
+            self.step_serial(step, meta, &mut buf, stats, zone, sink)?;
+        }
+        self.wave(&mut pending, jobs, stats, zone, sink)
+    }
+
+    /// Scans a wave of segments concurrently and merges their outcomes
+    /// in step order (`par_map` returns results in input order).
+    fn wave(
+        &self,
+        pending: &mut Vec<(&SegmentMeta, Part)>,
+        jobs: usize,
+        stats: &mut ScanStats,
+        zone: &mut ZoneCounts,
+        sink: &mut dyn Sink,
+    ) -> Result<(), StoreError> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let work = std::mem::take(pending);
+        let (results, _metrics) = iri_pipeline::par_map(work, jobs, |(meta, mut part)| {
+            self.scan(meta, &mut PageBuf::new(), &mut part)
+                .map(|delta| (delta, part))
+        })
+        .map_err(|e| StoreError::corrupt(self.src.dir, format!("parallel scan failed: {e}")))?;
+        for scanned in results {
+            if let Some(part) = self.settle(scanned, stats, zone)? {
+                sink.merge(part);
+            }
+        }
+        Ok(())
+    }
 }
 
 struct StoreMetrics {
@@ -852,6 +1178,21 @@ struct StoreMetrics {
     rows_scanned: CounterId,
     bytes_scanned: CounterId,
     scan_us: HistogramId,
+}
+
+impl StoreMetrics {
+    fn register(registry: &mut Registry) -> Self {
+        StoreMetrics {
+            queries: registry.counter("store.query.count"),
+            segments_pruned: registry.counter("store.query.segments_pruned"),
+            segments_zone_answered: registry.counter("store.query.segments_zone_answered"),
+            segments_scanned: registry.counter("store.query.segments_scanned"),
+            segments_quarantined: registry.counter("store.query.segments_quarantined"),
+            rows_scanned: registry.counter("store.query.rows_scanned"),
+            bytes_scanned: registry.counter("store.query.bytes_scanned"),
+            scan_us: registry.histogram("store.query.scan_us"),
+        }
+    }
 }
 
 /// How to open a [`Store`]: strictness, parallelism, and the I/O layer.
@@ -929,6 +1270,9 @@ pub struct Store {
     /// Compile every plan with all segments force-fated `Scan` and run
     /// them through the eager decoder — the differential-test baseline.
     full_scan: bool,
+    /// Validated, parsed segments kept resident across queries: this
+    /// handle's own, or the [`crate::LiveStore`]'s on a pinned snapshot.
+    cache: Arc<SegmentCache>,
 }
 
 impl Store {
@@ -947,19 +1291,20 @@ impl Store {
 
     /// Opens with explicit [`OpenOptions`].
     pub fn open_with(dir: &Path, opts: &OpenOptions) -> Result<Self, StoreError> {
+        Self::open_with_cache(dir, opts, SegmentCache::new())
+    }
+
+    /// [`Store::open_with`] over a given segment cache — how the budget
+    /// tests open a store larger than a small cap.
+    pub(crate) fn open_with_cache(
+        dir: &Path,
+        opts: &OpenOptions,
+        cache: Arc<SegmentCache>,
+    ) -> Result<Self, StoreError> {
         let fs = opts.fs.clone();
         let (manifest, recovery) = durable::recover(&*fs, dir, opts.strict)?;
         let mut registry = Registry::new();
-        let metrics = StoreMetrics {
-            queries: registry.counter("store.query.count"),
-            segments_pruned: registry.counter("store.query.segments_pruned"),
-            segments_zone_answered: registry.counter("store.query.segments_zone_answered"),
-            segments_scanned: registry.counter("store.query.segments_scanned"),
-            segments_quarantined: registry.counter("store.query.segments_quarantined"),
-            rows_scanned: registry.counter("store.query.rows_scanned"),
-            bytes_scanned: registry.counter("store.query.bytes_scanned"),
-            scan_us: registry.histogram("store.query.scan_us"),
-        };
+        let metrics = StoreMetrics::register(&mut registry);
         let recovered = registry.counter("store.recovery.quarantined");
         registry.add(recovered, recovery.quarantined.len() as u64);
         Ok(Store {
@@ -973,6 +1318,7 @@ impl Store {
             snapshot_gen: None,
             scan_jobs: iri_pipeline::resolve_jobs(opts.jobs),
             full_scan: false,
+            cache,
         })
     }
 
@@ -980,20 +1326,17 @@ impl Store {
     /// or I/O at construction. Used by [`crate::LiveStore`] to serve a
     /// pinned generation while newer commits land in the directory:
     /// segments the snapshot references that a later commit replaced are
-    /// transparently read from `retired/`.
+    /// transparently read from `retired/`. `cache` is the live store's,
+    /// shared by all its snapshots.
     #[must_use]
-    pub(crate) fn pinned_snapshot(dir: &Path, fs: SharedFs, manifest: Manifest) -> Self {
+    pub(crate) fn pinned_snapshot(
+        dir: &Path,
+        fs: SharedFs,
+        manifest: Manifest,
+        cache: Arc<SegmentCache>,
+    ) -> Self {
         let mut registry = Registry::new();
-        let metrics = StoreMetrics {
-            queries: registry.counter("store.query.count"),
-            segments_pruned: registry.counter("store.query.segments_pruned"),
-            segments_zone_answered: registry.counter("store.query.segments_zone_answered"),
-            segments_scanned: registry.counter("store.query.segments_scanned"),
-            segments_quarantined: registry.counter("store.query.segments_quarantined"),
-            rows_scanned: registry.counter("store.query.rows_scanned"),
-            bytes_scanned: registry.counter("store.query.bytes_scanned"),
-            scan_us: registry.histogram("store.query.scan_us"),
-        };
+        let metrics = StoreMetrics::register(&mut registry);
         let snapshot_gen = Some(manifest.generation);
         Store {
             dir: dir.to_path_buf(),
@@ -1006,6 +1349,7 @@ impl Store {
             snapshot_gen,
             scan_jobs: 1,
             full_scan: false,
+            cache,
         }
     }
 
@@ -1042,6 +1386,13 @@ impl Store {
         &self.registry
     }
 
+    /// Accounting of the segment cache this handle reads through (on a
+    /// pinned snapshot, the live store's shared one).
+    #[must_use]
+    pub fn cache_stats(&self) -> SegmentCacheStats {
+        self.cache.stats()
+    }
+
     /// Sets the worker threads compiled into subsequent plans
     /// (0 = auto-detect). Results are identical at any setting.
     pub fn set_scan_jobs(&mut self, jobs: usize) {
@@ -1049,9 +1400,9 @@ impl Store {
     }
 
     /// Forces subsequent plans to fate every segment `Scan` and decode
-    /// it eagerly, bypassing page pruning and code pushdown — the
-    /// reference path differential tests and the bench harness compare
-    /// the optimized executor against.
+    /// it eagerly from the filesystem, bypassing the segment cache, page
+    /// pruning and code pushdown — the reference path differential tests
+    /// and the bench harness compare the optimized executor against.
     pub fn set_full_scan(&mut self, full_scan: bool) {
         self.full_scan = full_scan;
     }
@@ -1098,13 +1449,15 @@ impl Store {
 
     /// Runs a compiled plan, streaming every matching row to `visit` in
     /// (shard, seq, row) order regardless of `jobs`. For aggregation
-    /// kinds prefer the dedicated entry points, which also fold in
-    /// zone-answered rows; `execute` only streams materialized rows.
+    /// kinds prefer the dedicated entry points, which fold over only
+    /// the columns they read and also fold in zone-answered rows;
+    /// `execute` materialises every column of every matching row.
     pub fn execute<F>(&mut self, plan: &PhysicalPlan, mut visit: F) -> Result<ScanStats, StoreError>
     where
         F: FnMut(&StoredEvent),
     {
-        self.run_plan(plan, &mut visit).map(|(stats, _)| stats)
+        self.run_plan(plan, &mut Visit(&mut visit))
+            .map(|(stats, _)| stats)
     }
 
     /// The executor: walks the plan's steps, scanning serially or in
@@ -1113,7 +1466,7 @@ impl Store {
     fn run_plan(
         &mut self,
         plan: &PhysicalPlan,
-        visit: &mut dyn FnMut(&StoredEvent),
+        sink: &mut dyn Sink,
     ) -> Result<(ScanStats, ZoneCounts), StoreError> {
         let started = Instant::now();
         let mut stats = ScanStats {
@@ -1133,211 +1486,35 @@ impl Store {
                 "plan does not match this store's manifest",
             ));
         }
-        let query = &plan.query;
         let mode = if plan.full_scan {
             ZoneMode::None
         } else {
             plan.kind.zone_mode()
         };
-
-        let parallel = plan.jobs > 1 && plan.segments_scanned() > 1;
-        let result = if parallel {
-            self.run_scans_parallel(plan, query, mode, &mut stats, &mut zone, visit)
+        let run = Run {
+            src: Source {
+                fs: &self.fs,
+                dir: &self.dir,
+                snapshot_gen: self.snapshot_gen,
+                cache: &self.cache,
+            },
+            query: &plan.query,
+            mode,
+            fold: sink.columns(plan.kind),
+            full_scan: self.full_scan,
+            strict: self.strict,
+        };
+        let steps = plan.steps.iter().zip(&self.manifest.segments);
+        let result = if plan.jobs > 1 && plan.segments_scanned() > 1 {
+            run.parallel(steps, plan.jobs, &mut stats, &mut zone, sink)
         } else {
             let mut buf = PageBuf::new();
-            let segments = std::mem::take(&mut self.manifest.segments);
-            let r = (|| {
-                for (step, meta) in plan.steps.iter().zip(&segments) {
-                    self.step_serial(
-                        step, meta, query, mode, &mut buf, &mut stats, &mut zone, visit,
-                    )?;
-                }
-                Ok(())
-            })();
-            self.manifest.segments = segments;
-            r
+            steps.into_iter().try_for_each(|(step, meta)| {
+                run.step_serial(step, meta, &mut buf, &mut stats, &mut zone, sink)
+            })
         };
         self.finish_stats(&mut stats, started);
         result.map(|()| (stats, zone))
-    }
-
-    /// Runs one step on the caller's thread, emitting rows directly.
-    #[allow(clippy::too_many_arguments)]
-    fn step_serial(
-        &self,
-        step: &SegmentStep,
-        meta: &SegmentMeta,
-        query: &Query,
-        mode: ZoneMode,
-        buf: &mut PageBuf,
-        stats: &mut ScanStats,
-        zone: &mut ZoneCounts,
-        visit: &mut dyn FnMut(&StoredEvent),
-    ) -> Result<(), StoreError> {
-        stats.segments_total += 1;
-        stats.bytes_total += meta.bytes;
-        stats.pages_total += meta.pages;
-        match step.fate {
-            SegmentFate::Pruned(_) => {
-                stats.segments_pruned += 1;
-                stats.pages_pruned += meta.pages;
-            }
-            SegmentFate::ZoneAnswered => {
-                stats.segments_zone_answered += 1;
-                stats.pages_zone_answered += meta.pages;
-                stats.rows_matched += meta.rows;
-                zone.add_segment(meta);
-            }
-            SegmentFate::Scan => {
-                let scanned = if self.full_scan {
-                    scan_segment_eager(&self.fs, &self.dir, self.snapshot_gen, meta, query, visit)
-                } else {
-                    scan_segment(
-                        &self.fs,
-                        &self.dir,
-                        self.snapshot_gen,
-                        meta,
-                        query,
-                        mode,
-                        buf,
-                        visit,
-                    )
-                };
-                // A segment that validated at open can still fail here —
-                // damaged after open, or a fault-injected read. Degrade
-                // gracefully unless strict: skip it, report it, and let
-                // the next open() move it to quarantine/.
-                match scanned {
-                    Ok(delta) => {
-                        stats.absorb(&delta.stats);
-                        zone.merge(&delta.zone);
-                    }
-                    Err(e) if !self.strict && quarantineable(&e) => {
-                        stats.segments_quarantined += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The parallel path: pruned and zone-answered steps are settled
-    /// inline (no I/O), scan steps fan out through the pipeline's
-    /// `par_map` in bounded waves, and each wave's buffered rows are
-    /// emitted in step order — so the visitor sees exactly the serial
-    /// order and results stay byte-identical at any job count. Only
-    /// scan steps emit rows, and steps enter waves in plan order, so
-    /// draining completed waves in index order preserves the global
-    /// (shard, seq, row) contract.
-    fn run_scans_parallel(
-        &mut self,
-        plan: &PhysicalPlan,
-        query: &Query,
-        mode: ZoneMode,
-        stats: &mut ScanStats,
-        zone: &mut ZoneCounts,
-        visit: &mut dyn FnMut(&StoredEvent),
-    ) -> Result<(), StoreError> {
-        let segments = std::mem::take(&mut self.manifest.segments);
-        let result = (|| {
-            let wave = plan.jobs.saturating_mul(3).max(1);
-            let mut pending: Vec<(usize, &SegmentMeta)> = Vec::new();
-            let mut buffered: Vec<WaveResult> = Vec::new();
-            let mut buf = PageBuf::new();
-
-            for (i, (step, meta)) in plan.steps.iter().zip(&segments).enumerate() {
-                if step.fate == SegmentFate::Scan {
-                    // Totals are accounted at queue time; the scan's own
-                    // delta merges back when its wave is flushed.
-                    stats.segments_total += 1;
-                    stats.bytes_total += meta.bytes;
-                    stats.pages_total += meta.pages;
-                    pending.push((i, meta));
-                    if pending.len() == wave {
-                        self.run_wave(&mut pending, plan.jobs, query, mode, &mut buffered)?;
-                        Self::flush_buffered(&mut buffered, self.strict, stats, zone, visit)?;
-                    }
-                    continue;
-                }
-                self.step_serial(step, meta, query, mode, &mut buf, stats, zone, visit)?;
-            }
-            self.run_wave(&mut pending, plan.jobs, query, mode, &mut buffered)?;
-            Self::flush_buffered(&mut buffered, self.strict, stats, zone, visit)
-        })();
-        self.manifest.segments = segments;
-        result
-    }
-
-    /// Scans a wave of segments concurrently, buffering each segment's
-    /// matching rows; results land in `buffered` tagged by step index.
-    fn run_wave(
-        &self,
-        pending: &mut Vec<(usize, &SegmentMeta)>,
-        jobs: usize,
-        query: &Query,
-        mode: ZoneMode,
-        buffered: &mut Vec<WaveResult>,
-    ) -> Result<(), StoreError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let work = std::mem::take(pending);
-        let fs = &self.fs;
-        let dir = self.dir.as_path();
-        let snapshot_gen = self.snapshot_gen;
-        let full_scan = self.full_scan;
-        let (results, _metrics) = iri_pipeline::par_map(work, jobs, |(i, meta)| {
-            let mut rows: Vec<StoredEvent> = Vec::new();
-            let mut emit = |ev: &StoredEvent| rows.push(*ev);
-            let scanned = if full_scan {
-                scan_segment_eager(fs, dir, snapshot_gen, meta, query, &mut emit)
-            } else {
-                let mut buf = PageBuf::new();
-                scan_segment(
-                    fs,
-                    dir,
-                    snapshot_gen,
-                    meta,
-                    query,
-                    mode,
-                    &mut buf,
-                    &mut emit,
-                )
-            };
-            (i, scanned.map(|delta| (delta, rows)))
-        })
-        .map_err(|e| StoreError::corrupt(&self.dir, format!("parallel scan failed: {e}")))?;
-        buffered.extend(results);
-        Ok(())
-    }
-
-    /// Emits buffered wave results in step order, folding their
-    /// stats/zone deltas into the totals.
-    fn flush_buffered(
-        buffered: &mut Vec<WaveResult>,
-        strict: bool,
-        stats: &mut ScanStats,
-        zone: &mut ZoneCounts,
-        visit: &mut dyn FnMut(&StoredEvent),
-    ) -> Result<(), StoreError> {
-        buffered.sort_by_key(|(i, _)| *i);
-        for (_, outcome) in buffered.drain(..) {
-            match outcome {
-                Ok((delta, rows)) => {
-                    stats.absorb(&delta.stats);
-                    zone.merge(&delta.zone);
-                    for ev in &rows {
-                        visit(ev);
-                    }
-                }
-                Err(e) if !strict && quarantineable(&e) => {
-                    stats.segments_quarantined += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
     }
 
     fn finish_stats(&mut self, stats: &mut ScanStats, started: Instant) {
@@ -1369,12 +1546,12 @@ impl Store {
     /// Streams every matching row, in (shard, seq, row) order — i.e. each
     /// logical shard's stream order, shard by shard. `visit` runs once per
     /// matching row.
-    pub fn scan<F>(&mut self, query: &Query, mut visit: F) -> Result<ScanStats, StoreError>
+    pub fn scan<F>(&mut self, query: &Query, visit: F) -> Result<ScanStats, StoreError>
     where
         F: FnMut(&StoredEvent),
     {
         let plan = self.plan(query, PlanKind::Stream);
-        self.run_plan(&plan, &mut visit).map(|(stats, _)| stats)
+        self.execute(&plan, visit)
     }
 
     /// [`Store::scan`] over the whole store: replays every stored event
@@ -1386,21 +1563,38 @@ impl Store {
         self.scan(&Query::default(), visit)
     }
 
+    /// Compiles and runs one aggregate, returning what it folded.
+    fn aggregate(
+        &mut self,
+        query: &Query,
+        kind: PlanKind,
+        mut part: Part,
+    ) -> Result<(Part, ScanStats, ZoneCounts), StoreError> {
+        let plan = self.plan(query, kind);
+        let (stats, zone) = self.run_plan(&plan, &mut part)?;
+        Ok((part, stats, zone))
+    }
+
     /// Matching rows per taxonomy class, indexed by
     /// [`UpdateClass::index`]. Segments and pages fully inside the time
     /// window are answered from zone counts without being decoded when
-    /// the query has no row-level predicates.
+    /// the query has no row-level predicates; the rest fold over the
+    /// packed class/cause byte alone.
     pub fn count_by_class(
         &mut self,
         query: &Query,
     ) -> Result<([u64; UpdateClass::COUNT], ScanStats), StoreError> {
-        let plan = self.plan(query, PlanKind::CountByClass);
-        let mut counts = [0u64; UpdateClass::COUNT];
-        let (stats, zone) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            counts[ev.class.index()] += 1;
-        })?;
-        for (acc, n) in counts.iter_mut().zip(zone.class_counts) {
-            *acc += n;
+        let (part, stats, zone) = self.aggregate(query, PlanKind::CountByClass, Part::cc())?;
+        let Part::Cc(hist) = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
+        let mut counts = zone.class_counts;
+        for (cc, n) in hist.iter().enumerate() {
+            // Only validated bytes are ever counted, so the class bits
+            // of every non-zero slot are in range.
+            if let Some(slot) = counts.get_mut(cc & 0x07) {
+                *slot += n;
+            }
         }
         Ok((counts, stats))
     }
@@ -1410,13 +1604,15 @@ impl Store {
         &mut self,
         query: &Query,
     ) -> Result<([u64; Cause::COUNT], ScanStats), StoreError> {
-        let plan = self.plan(query, PlanKind::CountByCause);
-        let mut counts = [0u64; Cause::COUNT];
-        let (stats, zone) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            counts[ev.cause.index()] += 1;
-        })?;
-        for (acc, n) in counts.iter_mut().zip(zone.cause_counts) {
-            *acc += n;
+        let (part, stats, zone) = self.aggregate(query, PlanKind::CountByCause, Part::cc())?;
+        let Part::Cc(hist) = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
+        let mut counts = zone.cause_counts;
+        for (cc, n) in hist.iter().enumerate() {
+            if let Some(slot) = counts.get_mut(cc >> 3) {
+                *slot += n;
+            }
         }
         Ok((counts, stats))
     }
@@ -1427,11 +1623,11 @@ impl Store {
         &mut self,
         query: &Query,
     ) -> Result<(Vec<(Asn, u64)>, ScanStats), StoreError> {
-        let plan = self.plan(query, PlanKind::CountByPeer);
-        let mut counts: FxHashMap<Asn, u64> = FxHashMap::default();
-        let (stats, _) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            *counts.entry(ev.peer.asn).or_insert(0) += 1;
-        })?;
+        let empty = Part::Peers(FxHashMap::default());
+        let (part, stats, _) = self.aggregate(query, PlanKind::CountByPeer, empty)?;
+        let Part::Peers(counts) = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
         let mut rows: Vec<(Asn, u64)> = counts.into_iter().collect();
         rows.sort_by_key(|&(asn, n)| (std::cmp::Reverse(n), asn));
         Ok((rows, stats))
@@ -1443,11 +1639,11 @@ impl Store {
         &mut self,
         query: &Query,
     ) -> Result<(Vec<(Prefix, u64)>, ScanStats), StoreError> {
-        let plan = self.plan(query, PlanKind::CountByPrefix);
-        let mut counts: FxHashMap<Prefix, u64> = FxHashMap::default();
-        let (stats, _) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            *counts.entry(ev.prefix).or_insert(0) += 1;
-        })?;
+        let empty = Part::Prefixes(FxHashMap::default());
+        let (part, stats, _) = self.aggregate(query, PlanKind::CountByPrefix, empty)?;
+        let Part::Prefixes(counts) = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
         let mut rows: Vec<(Prefix, u64)> = counts.into_iter().collect();
         rows.sort_by_key(|&(p, n)| (std::cmp::Reverse(n), p));
         Ok((rows, stats))
@@ -1457,13 +1653,11 @@ impl Store {
     /// Segments and pages that record a size-column sum and lie fully
     /// inside the window are answered from zone maps alone.
     pub fn sum_bytes(&mut self, query: &Query) -> Result<(u64, ScanStats), StoreError> {
-        let plan = self.plan(query, PlanKind::SumBytes);
-        let mut total = 0u64;
-        let (stats, zone) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            total += u64::from(ev.size);
-        })?;
-        total += zone.size_sum;
-        Ok((total, stats))
+        let (part, stats, zone) = self.aggregate(query, PlanKind::SumBytes, Part::Bytes(0))?;
+        let Part::Bytes(total) = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
+        Ok((total + zone.size_sum, stats))
     }
 
     /// Matching rows bucketed into fixed `bin_ms` bins starting at the
@@ -1486,17 +1680,16 @@ impl Store {
             .min(self.manifest.max_time_ms.saturating_add(1))
             .max(start);
         let bins = (end - start).div_ceil(bin_ms);
-        let mut series = vec![0u64; usize::try_from(bins).unwrap_or(0)];
-        let plan = self.plan(query, PlanKind::TimeSeries { bin_ms });
-        let (stats, _) = self.run_plan(&plan, &mut |ev: &StoredEvent| {
-            if ev.time_ms >= start {
-                let idx = ((ev.time_ms - start) / bin_ms) as usize;
-                if let Some(slot) = series.get_mut(idx) {
-                    *slot += 1;
-                }
-            }
-        })?;
-        Ok((series, stats))
+        let empty = Part::Series {
+            start,
+            bin_ms,
+            bins: vec![0u64; usize::try_from(bins).unwrap_or(0)],
+        };
+        let (part, stats, _) = self.aggregate(query, PlanKind::TimeSeries { bin_ms }, empty)?;
+        let Part::Series { bins, .. } = part else {
+            unreachable!("aggregate returns the part it was given")
+        };
+        Ok((bins, stats))
     }
 }
 

@@ -205,6 +205,17 @@ impl<'a> Cur<'a> {
     }
 }
 
+/// Encoded size of one peer dictionary entry (asn u32, addr u32).
+const PEER_ENTRY: usize = 8;
+
+/// Encoded size of one prefix dictionary entry (bits u32, len u8).
+const PREFIX_ENTRY: usize = 5;
+
+/// The little-endian u32 at the front of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
 fn checksum(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
@@ -764,12 +775,84 @@ impl SegmentData {
     }
 }
 
+/// A subset of a segment's six columns: what a scan asks
+/// [`SegmentFile::decode_page`] to decode. Derived per query from the
+/// [`crate::PlanKind`] and the predicates ([`crate::PlanKind::columns`]).
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct ColumnSet(u8);
+
+impl ColumnSet {
+    /// No column.
+    pub const NONE: ColumnSet = ColumnSet(0);
+    /// Event times.
+    pub const TIME: ColumnSet = ColumnSet(1);
+    /// Peer dictionary codes.
+    pub const PEER: ColumnSet = ColumnSet(1 << 1);
+    /// Prefix dictionary codes.
+    pub const PREFIX: ColumnSet = ColumnSet(1 << 2);
+    /// Packed `(cause<<3)|class` bytes.
+    pub const CC: ColumnSet = ColumnSet(1 << 3);
+    /// Policy-change bitmap.
+    pub const POLICY: ColumnSet = ColumnSet(1 << 4);
+    /// NLRI wire sizes.
+    pub const SIZE: ColumnSet = ColumnSet(1 << 5);
+    /// Every column: what materialising a [`StoredEvent`] needs.
+    pub const ALL: ColumnSet = ColumnSet(0x3f);
+
+    /// The union of both sets.
+    #[must_use]
+    pub const fn with(self, other: ColumnSet) -> ColumnSet {
+        ColumnSet(self.0 | other.0)
+    }
+
+    /// Whether every column of `other` is in this set.
+    #[must_use]
+    pub const fn has(self, other: ColumnSet) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
+impl std::fmt::Debug for ColumnSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(self, f)
+    }
+}
+
+impl std::fmt::Display for ColumnSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        const NAMES: [(ColumnSet, &str); 6] = [
+            (ColumnSet::TIME, "time"),
+            (ColumnSet::PEER, "peer"),
+            (ColumnSet::PREFIX, "prefix"),
+            (ColumnSet::CC, "class/cause"),
+            (ColumnSet::POLICY, "policy"),
+            (ColumnSet::SIZE, "size"),
+        ];
+        let mut first = true;
+        for (col, name) in NAMES {
+            if self.has(col) {
+                if !first {
+                    f.write_str(" ")?;
+                }
+                f.write_str(name)?;
+                first = false;
+            }
+        }
+        if first {
+            f.write_str("(none)")?;
+        }
+        Ok(())
+    }
+}
+
 /// Reused row buffers for one decoded page — the late-materialization
-/// scratch space. Filled by [`SegmentFile::decode_page`]; rows stay as
-/// packed dictionary codes (`peer_ids`, `prefix_ids`, the raw
-/// `(cause<<3)|class` byte) until [`SegmentFile::event`] materialises a
-/// survivor. Reusing one `PageBuf` across pages and segments keeps the
-/// scan loop allocation-free.
+/// scratch space. [`SegmentFile::decode_page`] fills the columns it is
+/// asked for; rows stay as packed dictionary codes (`peer_ids`,
+/// `prefix_ids`, the raw `(cause<<3)|class` byte) until
+/// [`SegmentFile::event`] materialises a survivor. Every varint lands
+/// straight in its typed column, so reusing one `PageBuf` across pages
+/// and segments keeps the scan loop allocation-free once the vectors
+/// have grown to a page.
 #[derive(Debug, Default)]
 pub struct PageBuf {
     /// Absolute event times, ms.
@@ -785,6 +868,12 @@ pub struct PageBuf {
     pub policy: Vec<u8>,
     /// Per-row NLRI wire bytes.
     pub sizes: Vec<u32>,
+    /// Selection vector: page-local indices of the rows still standing,
+    /// ascending. [`SegmentFile::decode_page`] selects every row; scans
+    /// narrow it one predicate at a time and fold what is left.
+    pub sel: Vec<u32>,
+    rows: usize,
+    have: ColumnSet,
 }
 
 impl PageBuf {
@@ -794,76 +883,92 @@ impl PageBuf {
         Self::default()
     }
 
-    /// Rows currently held.
+    /// Rows in the page currently held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.times.len()
+        self.rows
     }
 
     /// Whether no page has been decoded into the buffer.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+        self.rows == 0
     }
 
-    fn clear(&mut self) {
-        self.times.clear();
-        self.peer_ids.clear();
-        self.prefix_ids.clear();
-        self.cc.clear();
-        self.policy.clear();
-        self.sizes.clear();
+    /// The columns decoded for the page currently held; the others hold
+    /// leftovers of earlier pages.
+    #[must_use]
+    pub fn columns(&self) -> ColumnSet {
+        self.have
     }
 }
 
-/// Batched LEB128 decode of `n` varints from `buf` starting at `pos`,
-/// appended to `out`. The hot loop takes the one-byte fast path (the
-/// overwhelmingly common case for dictionary codes and time deltas)
-/// before falling back to the multi-byte loop.
+/// Batched LEB128 decode of `n` varints from `col` starting at `pos`,
+/// each passed through `map` (range check, delta restart) straight into
+/// its typed slot of `out`, which is resized to `n` without being
+/// cleared: every slot is overwritten, so a warm buffer is never
+/// re-zeroed. The hot loop takes the one-byte fast path (the
+/// overwhelmingly common case for dictionary codes and sizes) before
+/// falling back to the multi-byte loop.
 #[inline]
-fn decode_varints(
-    buf: &[u8],
+fn decode_varints<T: Copy + Default>(
+    col: &[u8],
     mut pos: usize,
     n: usize,
-    out: &mut Vec<u64>,
+    out: &mut Vec<T>,
     what: &str,
-) -> Result<usize, StoreError> {
-    out.reserve(n);
-    for _ in 0..n {
-        let Some(&b) = buf.get(pos) else {
+    mut map: impl FnMut(u64) -> Result<T, StoreError>,
+) -> Result<(), StoreError> {
+    out.resize(n, T::default());
+    for slot in out.iter_mut() {
+        let Some(&b) = col.get(pos) else {
             return Err(bad(format!("segment truncated reading {what}")));
         };
-        if b < 0x80 {
-            out.push(u64::from(b));
-            pos += 1;
-            continue;
-        }
-        let mut v = u64::from(b & 0x7f);
-        let mut shift = 7u32;
         pos += 1;
-        loop {
-            let Some(&b) = buf.get(pos) else {
-                return Err(bad(format!("segment truncated reading {what}")));
-            };
-            pos += 1;
-            if shift >= 64 || (shift == 63 && b > 1) {
-                return Err(bad(format!("varint overflow in {what}")));
+        let mut v = u64::from(b & 0x7f);
+        if b >= 0x80 {
+            let mut shift = 7u32;
+            loop {
+                let Some(&b) = col.get(pos) else {
+                    return Err(bad(format!("segment truncated reading {what}")));
+                };
+                pos += 1;
+                if shift >= 64 || (shift == 63 && b > 1) {
+                    return Err(bad(format!("varint overflow in {what}")));
+                }
+                v |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
             }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
         }
-        out.push(v);
+        *slot = map(v)?;
     }
-    Ok(pos)
+    Ok(())
 }
 
-/// A parsed-but-not-decoded segment: header, dictionaries, column byte
-/// ranges, and the page directory — everything short of the row data.
-/// Scans consult [`SegmentFile::pages`] to prune or zone-answer pages,
-/// then [`SegmentFile::decode_page`] only the survivors.
+/// The segment-level zone maps as the file's footer records them: what
+/// [`SegmentFile::check_meta`] holds against the manifest entry, and
+/// the synthesized page of a v1 file.
+#[derive(Debug)]
+struct Footer {
+    min_time: u64,
+    max_time: u64,
+    class_counts: [u64; UpdateClass::COUNT],
+    cause_counts: [u64; Cause::COUNT],
+    policy_changes: u64,
+    peer_bloom: [u64; BLOOM_WORDS],
+    prefix_bloom: [u64; BLOOM_WORDS],
+}
+
+/// A parsed-but-not-decoded segment: header, column byte ranges, and
+/// the page directory — everything short of the row data. The
+/// dictionaries are validated at parse and then read in place from the
+/// image ([`SegmentFile::peer`], [`SegmentFile::prefix`]), so a resident
+/// segment costs its file bytes plus the page directory. Scans consult
+/// [`SegmentFile::pages`] to prune or zone-answer pages, then
+/// [`SegmentFile::decode_page`] only the survivors.
 ///
 /// Accepts both format versions: a v1 file yields one synthesized page
 /// covering the whole segment (exact, since its zone data *is* the
@@ -875,19 +980,21 @@ pub struct SegmentFile {
     pub shard: u16,
     /// Total rows in the segment.
     pub rows: u32,
-    /// Peer dictionary in first-seen order.
-    pub peer_dict: Vec<PeerKey>,
-    /// Prefix dictionary in first-seen order.
-    pub prefix_dict: Vec<Prefix>,
+    n_peers: u32,
+    peer_off: usize,
+    n_prefixes: u32,
+    prefix_off: usize,
     col_start: [usize; 6],
     col_len: [usize; 6],
+    footer: Footer,
+    paged: bool,
     pages: Vec<PageMeta>,
 }
 
 impl SegmentFile {
     /// Parses and checksums a segment file image without decoding any
-    /// column. Cost is one hash pass plus the dictionaries and the page
-    /// directory.
+    /// column. Cost is one hash pass plus a validating walk over the
+    /// dictionaries and the page directory.
     pub fn parse(bytes: Vec<u8>) -> Result<SegmentFile, StoreError> {
         if bytes.len() < 12 + 8 {
             return Err(bad("segment shorter than header"));
@@ -910,28 +1017,20 @@ impl SegmentFile {
         let shard = cur.u16("shard")?;
         let rows = cur.u32("row count")?;
 
-        let n_peers = cur.u32("peer dict size")? as usize;
-        if (n_peers > rows as usize && rows > 0) || n_peers > body.len() {
+        let n_peers = cur.u32("peer dict size")?;
+        if (n_peers > rows && rows > 0) || n_peers as usize > body.len() {
             return Err(bad("peer dictionary larger than rows"));
         }
-        let mut peer_dict = Vec::with_capacity(n_peers);
-        for _ in 0..n_peers {
-            let asn = iri_bgp::types::Asn(cur.u32("peer asn")?);
-            let addr = Ipv4Addr::from(cur.u32("peer addr")?);
-            peer_dict.push(PeerKey { asn, addr });
-        }
-        let n_prefixes = cur.u32("prefix dict size")? as usize;
-        if (n_prefixes > rows as usize && rows > 0) || n_prefixes > body.len() {
+        let peer_off = cur.pos;
+        cur.take(n_peers as usize * PEER_ENTRY, "peer dictionary")?;
+        let n_prefixes = cur.u32("prefix dict size")?;
+        if (n_prefixes > rows && rows > 0) || n_prefixes as usize > body.len() {
             return Err(bad("prefix dictionary larger than rows"));
         }
-        let mut prefix_dict = Vec::with_capacity(n_prefixes);
-        for _ in 0..n_prefixes {
-            let bits = cur.u32("prefix bits")?;
-            let len = cur.u8("prefix len")?;
-            if len > 32 {
-                return Err(bad(format!("prefix length {len} > 32")));
-            }
-            prefix_dict.push(Prefix::from_raw(bits, len));
+        let prefix_off = cur.pos;
+        let prefixes = cur.take(n_prefixes as usize * PREFIX_ENTRY, "prefix dictionary")?;
+        if let Some(e) = prefixes.chunks_exact(PREFIX_ENTRY).find(|e| e[4] > 32) {
+            return Err(bad(format!("prefix length {} > 32", e[4])));
         }
 
         let mut col_len = [0usize; 6];
@@ -944,28 +1043,31 @@ impl SegmentFile {
             cur.take(*len, "column bytes")?;
         }
 
-        // v1 footer: reused verbatim as the synthesized page's zone data.
-        let footer_min = cur.u64("footer min time")?;
-        let footer_max = cur.u64("footer max time")?;
-        let mut class_counts = [0u64; UpdateClass::COUNT];
-        for c in &mut class_counts {
+        let mut footer = Footer {
+            min_time: cur.u64("footer min time")?,
+            max_time: cur.u64("footer max time")?,
+            class_counts: [0; UpdateClass::COUNT],
+            cause_counts: [0; Cause::COUNT],
+            policy_changes: 0,
+            peer_bloom: [0; BLOOM_WORDS],
+            prefix_bloom: [0; BLOOM_WORDS],
+        };
+        for c in &mut footer.class_counts {
             *c = cur.u64("footer class count")?;
         }
-        let mut cause_counts = [0u64; Cause::COUNT];
-        for c in &mut cause_counts {
+        for c in &mut footer.cause_counts {
             *c = cur.u64("footer cause count")?;
         }
-        let _policy_changes = cur.u64("footer policy count")?;
-        let mut peer_bloom = [0u64; BLOOM_WORDS];
-        for w in &mut peer_bloom {
+        footer.policy_changes = cur.u64("footer policy count")?;
+        for w in &mut footer.peer_bloom {
             *w = cur.u64("footer peer bloom")?;
         }
-        let mut prefix_bloom = [0u64; BLOOM_WORDS];
-        for w in &mut prefix_bloom {
+        for w in &mut footer.prefix_bloom {
             *w = cur.u64("footer prefix bloom")?;
         }
 
-        let pages = if version >= 2 {
+        let paged = version >= 2;
+        let pages = if paged {
             let _page_rows = cur.u32("page size")?;
             let n_pages = cur.u32("page count")? as usize;
             if n_pages > rows as usize || n_pages > body.len() {
@@ -1040,14 +1142,14 @@ impl SegmentFile {
                 start_row: 0,
                 rows,
                 prev_time: 0,
-                min_time: footer_min,
-                max_time: footer_max,
+                min_time: footer.min_time,
+                max_time: footer.max_time,
                 size_sum: None,
                 col_off: [0; 6],
-                class_counts,
-                cause_counts,
-                peer_bloom,
-                prefix_bloom,
+                class_counts: footer.class_counts,
+                cause_counts: footer.cause_counts,
+                peer_bloom: footer.peer_bloom,
+                prefix_bloom: footer.prefix_bloom,
             }]
         } else {
             Vec::new()
@@ -1060,12 +1162,65 @@ impl SegmentFile {
             bytes,
             shard,
             rows,
-            peer_dict,
-            prefix_dict,
+            n_peers,
+            peer_off,
+            n_prefixes,
+            prefix_off,
             col_start,
             col_len,
+            footer,
+            paged,
             pages,
         })
+    }
+
+    /// Holds the file against the manifest entry that names it: size,
+    /// shard, row and page counts, and every zone map the footer
+    /// replicates. A [`crate::SegmentMeta`] is a segment's identity (the
+    /// segment cache keys on it), so a file that passes is the version
+    /// the manifest means, not merely one of the same name and length.
+    /// Errors carry no path.
+    pub fn check_meta(&self, meta: &crate::query::SegmentMeta) -> Result<(), StoreError> {
+        let f = &self.footer;
+        let differs = if self.bytes.len() as u64 != meta.bytes {
+            format!(
+                "is {} bytes, manifest says {}",
+                self.bytes.len(),
+                meta.bytes
+            )
+        } else if u64::from(self.rows) != meta.rows {
+            format!("holds {} rows, manifest says {}", self.rows, meta.rows)
+        } else if u32::from(self.shard) != meta.shard {
+            format!(
+                "belongs to shard {}, manifest says {}",
+                self.shard, meta.shard
+            )
+        } else if (if self.paged {
+            self.pages.len() as u64
+        } else {
+            0
+        }) != meta.pages
+        {
+            format!(
+                "has {} pages, manifest says {}",
+                self.pages.len(),
+                meta.pages
+            )
+        } else if (f.min_time, f.max_time) != (meta.min_time_ms, meta.max_time_ms)
+            || f.class_counts != meta.class_counts
+            || f.cause_counts != meta.cause_counts
+            || f.policy_changes != meta.policy_changes
+            || f.peer_bloom != meta.peer_bloom
+            || f.prefix_bloom != meta.prefix_bloom
+            || meta.size_sum.is_some_and(|sum| {
+                Some(sum) != self.pages.iter().map(|p| p.size_sum).sum::<Option<u64>>()
+            })
+        {
+            "zone maps differ from the manifest's".to_owned()
+        } else {
+            return Ok(());
+        };
+        Err(bad(format!("segment {differs}")))
     }
 
     /// The page directory (one synthesized page for v1 files).
@@ -1086,122 +1241,191 @@ impl SegmentFile {
         &self.bytes
     }
 
+    /// Bytes this segment keeps resident: the image plus the parsed
+    /// page directory.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<SegmentFile>()
+            + self.bytes.capacity()
+            + self.pages.capacity() * std::mem::size_of::<PageMeta>()
+    }
+
+    /// Entries in the peer dictionary.
+    #[must_use]
+    pub fn peer_count(&self) -> u32 {
+        self.n_peers
+    }
+
+    /// Entries in the prefix dictionary.
+    #[must_use]
+    pub fn prefix_count(&self) -> u32 {
+        self.n_prefixes
+    }
+
+    /// Peer dictionary entry `id` (first-seen order), read from the image.
+    ///
+    /// # Panics
+    /// Panics if `id >= self.peer_count()`.
+    #[must_use]
+    pub fn peer(&self, id: u32) -> PeerKey {
+        assert!(id < self.n_peers, "peer id {id} out of dictionary range");
+        let at = self.peer_off + id as usize * PEER_ENTRY;
+        PeerKey {
+            asn: iri_bgp::types::Asn(le_u32(&self.bytes[at..])),
+            addr: Ipv4Addr::from(le_u32(&self.bytes[at + 4..])),
+        }
+    }
+
+    /// Prefix dictionary entry `id` (first-seen order), read from the
+    /// image; lengths were validated at parse.
+    ///
+    /// # Panics
+    /// Panics if `id >= self.prefix_count()`.
+    #[must_use]
+    pub fn prefix(&self, id: u32) -> Prefix {
+        assert!(
+            id < self.n_prefixes,
+            "prefix id {id} out of dictionary range"
+        );
+        let at = self.prefix_off + id as usize * PREFIX_ENTRY;
+        Prefix::from_raw(le_u32(&self.bytes[at..]), self.bytes[at + 4])
+    }
+
     fn col(&self, i: usize) -> &[u8] {
         &self.bytes[self.col_start[i]..self.col_start[i] + self.col_len[i]]
     }
 
-    /// Decodes one page's rows into `buf` (cleared first) with the
-    /// batched varint kernel. Dictionary codes and the packed
-    /// class/cause byte are validated here so [`SegmentFile::event`]
-    /// cannot panic on a survivor.
-    pub fn decode_page(&self, page: &PageMeta, buf: &mut PageBuf) -> Result<(), StoreError> {
-        buf.clear();
+    /// Starts `buf` on `page` — every row selected, no column held —
+    /// and decodes the columns in `cols`. Dictionary codes and the
+    /// packed class/cause byte are validated as they are decoded, so
+    /// [`SegmentFile::event`] cannot panic on a survivor.
+    pub fn decode_page(
+        &self,
+        page: &PageMeta,
+        cols: ColumnSet,
+        buf: &mut PageBuf,
+    ) -> Result<(), StoreError> {
+        buf.rows = page.rows as usize;
+        buf.have = ColumnSet::NONE;
+        buf.sel.clear();
+        buf.sel.extend(0..page.rows);
+        self.decode_columns(page, cols, buf)
+    }
+
+    /// Decodes the columns of `cols` that `buf` does not hold yet for
+    /// the page [`SegmentFile::decode_page`] started it on. Scans call
+    /// this between predicates, so a page whose selection empties early
+    /// never pays for the columns behind it.
+    pub fn decode_columns(
+        &self,
+        page: &PageMeta,
+        cols: ColumnSet,
+        buf: &mut PageBuf,
+    ) -> Result<(), StoreError> {
         let n = page.rows as usize;
+        debug_assert_eq!(n, buf.rows, "decode_page starts the page");
+        let want = |col: ColumnSet| cols.has(col) && !buf.have.has(col);
 
-        // Time column: delta-zigzag restart from the page's prev_time.
-        let mut raw = std::mem::take(&mut buf.times);
-        decode_varints(
-            self.col(0),
-            page.col_off[0] as usize,
-            n,
-            &mut raw,
-            "time column",
-        )?;
-        let mut prev =
-            i64::try_from(page.prev_time).map_err(|_| bad("page prev time out of range"))?;
-        for v in &mut raw {
-            let delta = unzigzag(*v);
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| bad("time column overflows"))?;
-            if prev < 0 {
-                return Err(bad("negative time in time column"));
-            }
-            *v = prev as u64;
-        }
-        buf.times = raw;
-
-        let mut raw = Vec::new();
-        decode_varints(
-            self.col(1),
-            page.col_off[1] as usize,
-            n,
-            &mut raw,
-            "peer column",
-        )?;
-        buf.peer_ids.reserve(n);
-        let n_peers = self.peer_dict.len() as u64;
-        for v in &raw {
-            if *v >= n_peers {
-                return Err(bad(format!("peer id {v} out of dictionary range")));
-            }
-            buf.peer_ids.push(*v as u32);
-        }
-
-        raw.clear();
-        decode_varints(
-            self.col(2),
-            page.col_off[2] as usize,
-            n,
-            &mut raw,
-            "prefix column",
-        )?;
-        buf.prefix_ids.reserve(n);
-        let n_prefixes = self.prefix_dict.len() as u64;
-        for v in &raw {
-            if *v >= n_prefixes {
-                return Err(bad(format!("prefix id {v} out of dictionary range")));
-            }
-            buf.prefix_ids.push(*v as u32);
-        }
-
-        let cc_col = self.col(3);
-        let cc_start = page.col_off[3] as usize;
-        let cc_bytes = cc_col
-            .get(cc_start..cc_start + n)
-            .ok_or_else(|| bad("segment truncated reading class/cause column"))?;
-        for &cc in cc_bytes {
-            if (cc & 0x07) as usize >= UpdateClass::COUNT || (cc >> 3) as usize >= Cause::COUNT {
+        if want(ColumnSet::CC) {
+            let start = page.col_off[3] as usize;
+            let bytes = self
+                .col(3)
+                .get(start..start + n)
+                .ok_or_else(|| bad("segment truncated reading class/cause column"))?;
+            if let Some(cc) = bytes.iter().find(|&&cc| {
+                (cc & 0x07) as usize >= UpdateClass::COUNT || (cc >> 3) as usize >= Cause::COUNT
+            }) {
                 return Err(bad(format!("invalid class/cause byte {cc:#04x}")));
             }
+            buf.cc.clear();
+            buf.cc.extend_from_slice(bytes);
         }
-        buf.cc.extend_from_slice(cc_bytes);
-
-        let pol_col = self.col(4);
-        let pol_start = page.col_off[4] as usize;
-        let pol_n = n.div_ceil(8);
-        let pol_bytes = pol_col
-            .get(pol_start..pol_start + pol_n)
-            .ok_or_else(|| bad("segment truncated reading policy column"))?;
-        buf.policy.extend_from_slice(pol_bytes);
-
-        raw.clear();
-        decode_varints(
-            self.col(5),
-            page.col_off[5] as usize,
-            n,
-            &mut raw,
-            "size column",
-        )?;
-        buf.sizes.reserve(n);
-        for v in &raw {
-            let s = u32::try_from(*v).map_err(|_| bad("size column value overflows"))?;
-            buf.sizes.push(s);
+        if want(ColumnSet::TIME) {
+            // Delta-zigzag restart from the page's prev_time.
+            let mut prev =
+                i64::try_from(page.prev_time).map_err(|_| bad("page prev time out of range"))?;
+            decode_varints(
+                self.col(0),
+                page.col_off[0] as usize,
+                n,
+                &mut buf.times,
+                "time column",
+                |v| {
+                    prev = prev
+                        .checked_add(unzigzag(v))
+                        .ok_or_else(|| bad("time column overflows"))?;
+                    u64::try_from(prev).map_err(|_| bad("negative time in time column"))
+                },
+            )?;
         }
+        if want(ColumnSet::PEER) {
+            let n_peers = u64::from(self.n_peers);
+            decode_varints(
+                self.col(1),
+                page.col_off[1] as usize,
+                n,
+                &mut buf.peer_ids,
+                "peer column",
+                |v| {
+                    if v >= n_peers {
+                        return Err(bad(format!("peer id {v} out of dictionary range")));
+                    }
+                    Ok(v as u32)
+                },
+            )?;
+        }
+        if want(ColumnSet::PREFIX) {
+            let n_prefixes = u64::from(self.n_prefixes);
+            decode_varints(
+                self.col(2),
+                page.col_off[2] as usize,
+                n,
+                &mut buf.prefix_ids,
+                "prefix column",
+                |v| {
+                    if v >= n_prefixes {
+                        return Err(bad(format!("prefix id {v} out of dictionary range")));
+                    }
+                    Ok(v as u32)
+                },
+            )?;
+        }
+        if want(ColumnSet::POLICY) {
+            let start = page.col_off[4] as usize;
+            let bytes = self
+                .col(4)
+                .get(start..start + n.div_ceil(8))
+                .ok_or_else(|| bad("segment truncated reading policy column"))?;
+            buf.policy.clear();
+            buf.policy.extend_from_slice(bytes);
+        }
+        if want(ColumnSet::SIZE) {
+            decode_varints(
+                self.col(5),
+                page.col_off[5] as usize,
+                n,
+                &mut buf.sizes,
+                "size column",
+                |v| u32::try_from(v).map_err(|_| bad("size column value overflows")),
+            )?;
+        }
+        buf.have = buf.have.with(cols);
         Ok(())
     }
 
-    /// Materialises row `j` of the page held in `buf`.
+    /// Materialises row `j` of the page held in `buf`, which must hold
+    /// [`ColumnSet::ALL`].
     ///
     /// # Panics
     /// Panics if `j >= buf.len()`.
     #[must_use]
     pub fn event(&self, buf: &PageBuf, j: usize) -> StoredEvent {
+        debug_assert!(buf.have.has(ColumnSet::ALL), "event needs every column");
         let cc = buf.cc[j];
         StoredEvent {
             time_ms: buf.times[j],
-            peer: self.peer_dict[buf.peer_ids[j] as usize],
-            prefix: self.prefix_dict[buf.prefix_ids[j] as usize],
+            peer: self.peer(buf.peer_ids[j]),
+            prefix: self.prefix(buf.prefix_ids[j]),
             class: UpdateClass::from_index((cc & 0x07) as usize)
                 .expect("class validated at decode"),
             cause: Cause::ALL[(cc >> 3) as usize],
@@ -1397,7 +1621,7 @@ mod tests {
         let mut buf = PageBuf::new();
         let mut out = Vec::new();
         for page in file.pages() {
-            file.decode_page(page, &mut buf).unwrap();
+            file.decode_page(page, ColumnSet::ALL, &mut buf).unwrap();
             assert_eq!(buf.len(), page.rows as usize);
             for j in 0..buf.len() {
                 out.push(file.event(&buf, j));

@@ -9,9 +9,9 @@
 //! clean run) or the previous store (the empty store, for a first
 //! ingest) — never a torn hybrid, and never a panic.
 
-use iri_faults::{FaultPlan, FaultyFs, RetryPolicy};
+use iri_faults::{FaultKind, FaultPlan, FaultyFs, RetryPolicy};
 use iri_mrt::{Bgp4mpMessage, MrtReader, MrtRecord, MrtWriter};
-use iri_store::{ingest_mrt, IngestConfig, Query, Store, StoreError, StoredEvent};
+use iri_store::{ingest_mrt, IngestConfig, OpenOptions, Query, Store, StoreError, StoredEvent};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -356,6 +356,86 @@ fn seeded_fault_plans_never_panic() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A failed segment load is never cached. The first load of one segment
+/// is damaged in flight — a flipped byte, or a transient read error —
+/// while the file on disk stays intact: the query that hit it degrades
+/// exactly as before the cache existed (tolerant mode counts a
+/// quarantined segment and answers without it, strict mode errors, an
+/// I/O error that is not "missing" surfaces in both), and the next
+/// query on the same handle retries the read and answers in full.
+#[test]
+fn failed_segment_loads_are_retried_not_cached() {
+    let dir = temp_store_dir("cache-faults");
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&dir, &synthetic_log(300), &cfg).expect("clean ingest");
+    let clean = replay_events(&dir);
+
+    // Opening costs a deterministic number of counted operations; the
+    // first scan's first segment read is the one after them.
+    let probe = Arc::new(FaultyFs::counting());
+    let segments = Store::open_with(&dir, &OpenOptions::new().fs(probe.clone()))
+        .unwrap()
+        .manifest()
+        .segments
+        .len() as u64;
+    let first_load = probe.ops();
+    let open = |kind: FaultKind, strict: bool| {
+        let fs = Arc::new(FaultyFs::new(FaultPlan::new().fault_at(first_load, kind)));
+        Store::open_with(&dir, &OpenOptions::new().fs(fs).strict(strict)).unwrap()
+    };
+    let scan = |store: &mut Store| {
+        let mut events = Vec::new();
+        store
+            .scan(&Query::default(), |ev| events.push(*ev))
+            .map(|stats| (events, stats))
+    };
+    let corrupt = FaultKind::BitFlip {
+        offset: 40,
+        mask: 0x10,
+    };
+    let transient = FaultKind::Error {
+        kind: std::io::ErrorKind::Interrupted,
+    };
+
+    // Tolerant, corrupt image: skipped and counted, then retried.
+    let mut store = open(corrupt, false);
+    let (events, stats) = scan(&mut store).unwrap();
+    assert_eq!(stats.segments_quarantined, 1);
+    assert!(events.len() < clean.len());
+    assert_eq!(
+        store.cache_stats().entries,
+        segments - 1,
+        "no failed load is resident"
+    );
+    let (events, stats) = scan(&mut store).unwrap();
+    assert_eq!(events, clean, "the retry reads the intact file");
+    assert_eq!(stats.segments_quarantined, 0);
+    assert_eq!(stats.segments_cached, segments - 1);
+    assert!(stats.bytes_read > 0);
+    assert_eq!(store.cache_stats().entries, segments);
+
+    // Strict, corrupt image: the typed corruption error, then a retry.
+    let mut store = open(corrupt, true);
+    let err = scan(&mut store).expect_err("strict scan of a corrupt image");
+    assert!(
+        matches!(&err, StoreError::Corrupt { what, .. } if what.contains("checksum")),
+        "{err}"
+    );
+    assert_eq!(scan(&mut store).unwrap().0, clean);
+
+    // A transient read error is environmental: surfaced even tolerant,
+    // gone on the next query.
+    for strict in [false, true] {
+        let mut store = open(transient, strict);
+        let err = scan(&mut store).expect_err("injected read error");
+        assert!(matches!(err, StoreError::Io { .. }), "{err}");
+        let (events, stats) = scan(&mut store).unwrap();
+        assert_eq!(events, clean);
+        assert_eq!(stats.segments_quarantined, 0);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {

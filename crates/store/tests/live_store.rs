@@ -259,6 +259,100 @@ fn open_sweeps_stale_retired_tree() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// What a plain pass over `rows` answers for the row-filtered queries
+/// the cache test asks: rows per peer AS among one class, and that
+/// class's wire bytes. (Unfiltered counts would be zone-answered and
+/// never load a segment.)
+fn plain_pass(rows: &[StoredEvent], class: UpdateClass) -> (Vec<(Asn, u64)>, u64) {
+    let mut by_peer: HashMap<Asn, u64> = HashMap::new();
+    let mut bytes = 0u64;
+    for r in rows.iter().filter(|r| r.class == class) {
+        *by_peer.entry(r.peer.asn).or_insert(0) += 1;
+        bytes += u64::from(r.size);
+    }
+    let mut by_peer: Vec<(Asn, u64)> = by_peer.into_iter().collect();
+    by_peer.sort_by_key(|&(asn, n)| (std::cmp::Reverse(n), asn));
+    (by_peer, bytes)
+}
+
+/// Compaction rewrites canonical file names under a pinned reader. With
+/// the shared segment cache warm on both sides, the old pin and a new
+/// snapshot — asked alternately — must each keep answering for their own
+/// generation: a cache keyed by file name would hand one the other's
+/// segment. The compaction drops the entries of the files it retired, so
+/// the old pin's next query goes back to disk and finds them under
+/// `retired/`.
+#[test]
+fn cache_keeps_pinned_and_new_generations_apart_across_name_reuse() {
+    let dir = temp_store_dir("cache-name-reuse");
+    let live = open_live(&dir, 32);
+    let mut old_rows = batch(1, 150);
+    old_rows.extend(batch(2, 150));
+    live.append_events(&old_rows[..150]).unwrap();
+    live.append_events(&old_rows[150..]).unwrap();
+
+    let class = UpdateClass::ALL[1];
+    let q = Query::default().class(class);
+    let ask = |store: &mut Store| {
+        let (by_peer, peer_stats) = store.count_by_peer(&q).unwrap();
+        let (bytes, _) = store.sum_bytes(&q).unwrap();
+        ((by_peer, bytes), peer_stats)
+    };
+
+    // Pin, and warm the cache with the pinned generation's segments.
+    let mut old = live.snapshot();
+    let (answer, cold) = ask(&mut old);
+    assert_eq!(answer, plain_pass(&old_rows, class));
+    assert!(cold.bytes_read > 0 && cold.segments_cached == 0);
+    let (_, warm) = ask(&mut old);
+    assert_eq!(
+        (warm.bytes_read, warm.segments_cached),
+        (0, warm.segments_scanned)
+    );
+
+    // Append, then compact: every ragged chain is rewritten from seq 0,
+    // so the pinned manifest's file names now hold other bytes.
+    let mut new_rows = old_rows.clone();
+    new_rows.extend(batch(3, 150));
+    live.append_events(&new_rows[300..]).unwrap();
+    let report = live.compact(32).unwrap();
+    assert!(report.shards_rewritten > 0);
+    let reused = live
+        .manifest()
+        .segments
+        .iter()
+        .filter(|m| {
+            old.manifest()
+                .segments
+                .iter()
+                .any(|o| o.file == m.file && o != *m)
+        })
+        .count();
+    assert!(reused > 0, "compaction must have reused pinned file names");
+    let after_compact = live.cache_stats();
+    assert!(after_compact.invalidations > 0, "{after_compact:?}");
+
+    // The old pin lost its entries with the files' retirement: its next
+    // query reloads them from the retired tree, the one after is warm.
+    let mut new = live.snapshot();
+    let (answer, reloaded) = ask(&mut old);
+    assert_eq!(answer, plain_pass(&old_rows, class));
+    assert!(reloaded.bytes_read > 0, "{reloaded:?}");
+    assert_eq!(reloaded.segments_quarantined, 0);
+    for round in 0..3 {
+        let (answer, stats) = ask(&mut new);
+        assert_eq!(answer, plain_pass(&new_rows, class), "new, round {round}");
+        assert_eq!(stats.segments_quarantined, 0);
+        let (answer, stats) = ask(&mut old);
+        assert_eq!(answer, plain_pass(&old_rows, class), "old, round {round}");
+        assert_eq!((stats.bytes_read, stats.segments_quarantined), (0, 0));
+    }
+    assert!(live.cache_stats().hits > after_compact.hits);
+
+    drop((old, new));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Thread-stress proof of snapshot isolation: one writer appends known
 /// batches and compacts between them while reader threads hammer
 /// snapshots. Every response is checked against an oracle computed
