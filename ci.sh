@@ -9,8 +9,56 @@ set -eu
 
 cd "$(dirname "$0")"
 
+# same_tree A B [A2 B2 ...]: each pair of directories holds the same
+# files with the same bytes. Crash debris the commit protocol may leave
+# behind (quarantine/, retired/) is not part of the committed state.
+same_tree() {
+    python3 - "$@" <<'EOF'
+import os, sys
+
+def snap(root):
+    out = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        rel = os.path.relpath(dirpath, root)
+        if rel.split(os.sep)[0] in ("quarantine", "retired"):
+            dirnames[:] = []
+            continue
+        for f in filenames:
+            p = os.path.join(dirpath, f)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
+    return out
+
+for a, b in zip(sys.argv[1::2], sys.argv[2::2]):
+    sa, sb = snap(a), snap(b)
+    assert sa.keys() == sb.keys(), f"{a} vs {b}: {sorted(sa.keys() ^ sb.keys())}"
+    for k in sa:
+        assert sa[k] == sb[k], f"{a} vs {b}: {k} differs"
+    assert sa, f"{a}: empty"
+EOF
+}
+
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> one way to commit (structural guard)"
+# The journal begin record is written by the store transaction and by
+# nothing else, and only durable.rs builds a temp-file path: a second
+# hand-rolled commit sequence fails here before it can drift. Comment
+# lines may say what they like.
+code_lines() {
+    pat=$1; shift
+    grep -rnH "$pat" "$@" --include='*.rs' | grep -Ev '^[^:]+:[0-9]+:[[:space:]]*//'
+}
+if code_lines 'journal_begin(' crates | grep -v '^crates/store/src/durable.rs:'; then
+    echo "    journal_begin( is called outside crates/store/src/durable.rs"; exit 1
+fi
+[ "$(code_lines 'journal_begin(' crates/store/src/durable.rs | wc -l)" -eq 2 ] \
+    || { echo "    journal_begin( must have one definition and one caller (Txn::begin)"; exit 1; }
+if code_lines '\.tmp"' crates/store/src | grep -v '^crates/store/src/durable.rs:'; then
+    echo "    a \".tmp\" path is built outside crates/store/src/durable.rs"; exit 1
+fi
+echo "    one begin-record writer, one temp-path builder"
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -33,13 +81,13 @@ cargo test --release -q -p iri-store --test fault_injection crash_matrix
 echo "==> store equivalence at paper scale (3M records, release)"
 IRI_EQUIV_RECORDS=3000000 cargo test --release -q -p iri-bench --test store_equivalence
 
-echo "==> bench_store --smoke (prune-ratio, query-speedup, batched-sync gates)"
+echo "==> bench_store --smoke (prune-ratio, query-speedup gates)"
 cargo run --release -q -p iri-bench --bin bench_store -- --smoke \
     --out target/BENCH_store_smoke.json --dir target/bench_store_smoke.store
 python3 -c "
 import json, sys
 r = json.load(open('target/BENCH_store_smoke.json'))
-assert r['schema'] == 'bench-store-v3', r['schema']
+assert r['schema'] == 'bench-store-v4', r['schema']
 assert r['reports_identical'] is True
 assert r['windowed_prune_ratio'] >= 0.9, r['windowed_prune_ratio']
 # Floor raised from 4.0 when the segment cache and column-projected decode
@@ -47,18 +95,17 @@ assert r['windowed_prune_ratio'] >= 0.9, r['windowed_prune_ratio']
 # 1-hour query vs the uncached forced full scan, was ~11x); 30.0 is 51 % of
 # the lowest, inside the "no more than 60 % of measured" rule.
 assert r['windowed_query_speedup'] >= 30.0, r['windowed_query_speedup']
-assert r['batched_sync_speedup'] >= 0.995, r['batched_sync_speedup']
 " || { echo "    bench_store smoke gates failed"; exit 1; }
 echo "    bench_store smoke gates passed"
 python3 -c "
 import json, sys
 r = json.load(open('BENCH_store.json'))
-assert r['schema'] == 'bench-store-v3', r['schema']
+assert r['schema'] == 'bench-store-v4', r['schema']
 for key in ('effective_cores', 'windowed_prune_ratio', 'windowed_query_speedup',
-            'batched_sync_speedup', 'reports_identical', 'queries', 'ingest'):
+            'reports_identical', 'queries', 'ingest'):
     assert key in r, key
-" || { echo "    committed BENCH_store.json is not a well-formed v3 report"; exit 1; }
-echo "    BENCH_store.json is well-formed bench-store-v3 JSON"
+" || { echo "    committed BENCH_store.json is not a well-formed v4 report"; exit 1; }
+echo "    BENCH_store.json is well-formed bench-store-v4 JSON"
 
 echo "==> benchmark/check.sh (four-workload benchmark smoke: every declared metric once, pass_ratio 1)"
 benchmark/check.sh
@@ -116,32 +163,8 @@ code=0
 [ "$code" -eq 9 ] || { echo "    --kill-after-chunks must exit 9, got $code"; exit 1; }
 ./target/release/run_scenario --pack packs/quiet.toml \
     --store target/ci_chain_res.store --hours 1 --resume > /dev/null
-python3 - target/ci_chain_ref.store target/ci_chain_res.store \
-          target/ci_chain_ref.store-chain target/ci_chain_res.store-chain <<'EOF'
-import os, sys
-
-def snap(root):
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel = os.path.relpath(dirpath, root)
-        # Crash debris the commit protocol may leave behind is not part
-        # of the committed state.
-        if rel.split(os.sep)[0] in ("quarantine", "retired"):
-            dirnames[:] = []
-            continue
-        for f in filenames:
-            p = os.path.join(dirpath, f)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-for a, b in ((sys.argv[1], sys.argv[2]), (sys.argv[3], sys.argv[4])):
-    sa, sb = snap(a), snap(b)
-    assert sa.keys() == sb.keys(), f"{a} vs {b}: {sorted(sa.keys() ^ sb.keys())}"
-    for k in sa:
-        assert sa[k] == sb[k], f"{a} vs {b}: {k} differs"
-    assert sa, f"{a}: empty"
-EOF
+same_tree target/ci_chain_ref.store target/ci_chain_res.store \
+          target/ci_chain_ref.store-chain target/ci_chain_res.store-chain
 echo "    resumed store and chain are byte-identical to the unkilled run's"
 
 echo "==> chain replay-equivalence smoke (paper-1996 pack, 1 simulated hour)"
@@ -153,28 +176,7 @@ rm -rf target/ci_replay_rec.store target/ci_replay_rec.store-chain \
 ./target/release/run_scenario --pack packs/paper_1996.toml \
     --store target/ci_replay_rep.store --hours 1 --replay \
     --chain target/ci_replay_rec.store-chain > /dev/null
-python3 - target/ci_replay_rec.store target/ci_replay_rep.store <<'EOF'
-import os, sys
-
-def snap(root):
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel = os.path.relpath(dirpath, root)
-        if rel.split(os.sep)[0] in ("quarantine", "retired"):
-            dirnames[:] = []
-            continue
-        for f in filenames:
-            p = os.path.join(dirpath, f)
-            with open(p, "rb") as fh:
-                out[os.path.relpath(p, root)] = fh.read()
-    return out
-
-sa, sb = snap(sys.argv[1]), snap(sys.argv[2])
-assert sa.keys() == sb.keys(), sorted(sa.keys() ^ sb.keys())
-for k in sa:
-    assert sa[k] == sb[k], f"{k} differs"
-assert sa
-EOF
+same_tree target/ci_replay_rec.store target/ci_replay_rep.store
 echo "    replay from the chain re-derived a byte-identical store"
 
 echo "==> tracescope watch --state restart smoke"

@@ -1,14 +1,13 @@
 //! `bench_store` — segment-store benchmark and acceptance gate
-//! (`BENCH_store.json`, schema v3).
+//! (`BENCH_store.json`, schema v4).
 //!
 //! Generates a synthetic MRT log (3M records by default, same generator as
 //! `mrtgen`), then prices the `iri-store` subsystem end to end:
 //!
-//! - **ingest**: classify + archive in one pass at 1 and 4 workers;
-//!   the two 4-worker configurations (fsync-per-segment vs batched
-//!   deferred sync) are each run several times and compared on their
-//!   **minimum** wall time, so the batched-sync gate measures the code
-//!   path, not scheduler noise;
+//! - **ingest**: classify + archive in one pass at 1 and 4 workers; the
+//!   4-worker configuration is run several times and compared on its
+//!   **minimum** wall time, so the parallel-ingest gate measures the
+//!   code path, not scheduler noise;
 //! - **equivalence**: the report replayed from the store must render
 //!   byte-identical to the streaming report;
 //! - **queries**: the four 1-hour windowed queries run twice — once
@@ -21,13 +20,11 @@
 //! Hard gates (non-zero exit on failure):
 //!
 //! 1. `reports_identical` — store replay matches streaming byte for byte;
-//! 2. `batched_sync_speedup >= 1.0` (at the printed two-decimal
-//!    precision) — batching fsyncs must never lose;
-//! 3. `windowed_prune_ratio >= 0.9` — page-level zone maps must eliminate
+//! 2. `windowed_prune_ratio >= 0.9` — page-level zone maps must eliminate
 //!    at least 90% of the archive on 1-hour windows;
-//! 4. `windowed_query_speedup >= 4.0` — the paged executor must beat its
+//! 3. `windowed_query_speedup >= 4.0` — the paged executor must beat its
 //!    own forced full scan at least 4x on every 1-hour query;
-//! 5. parallel ingest `>= 2.0x` at 4 workers — **skipped loudly when the
+//! 4. parallel ingest `>= 2.0x` at 4 workers — **skipped loudly when the
 //!    machine exposes fewer than 2 cores** (`effective_cores` records
 //!    what the gate saw; a 1-core container cannot show parallel wins).
 //!
@@ -57,7 +54,6 @@ use std::time::Instant;
 #[derive(Serialize)]
 struct IngestRun {
     jobs: usize,
-    batch_sync: bool,
     wall_ms: u64,
     runs_ms: Vec<u64>,
     records_per_sec: f64,
@@ -81,7 +77,7 @@ struct QueryRun {
     pages_scanned: u64,
 }
 
-/// The `BENCH_store.json` payload (schema v3).
+/// The `BENCH_store.json` payload (schema v4).
 #[derive(Serialize)]
 struct BenchReport {
     schema: &'static str,
@@ -99,12 +95,7 @@ struct BenchReport {
     bytes_per_event: f64,
     streaming_wall_ms: u64,
     ingest: Vec<IngestRun>,
-    /// Min-of-N wall ratio of fsync-per-segment ingest to batched-sync
-    /// ingest at 4 workers. Gate: must be >= 1.0 (batching the syncs
-    /// onto the worker threads must never be slower; durability is
-    /// identical — every segment is synced before the journal seals).
-    batched_sync_speedup: f64,
-    /// Min-of-N wall ratio of 1-worker to 4-worker batched ingest.
+    /// Min-of-N wall ratio of 1-worker to 4-worker ingest.
     /// `None` when `effective_cores < 2` and the 2x gate was skipped.
     parallel_ingest_speedup: Option<f64>,
     replay_wall_ms: u64,
@@ -162,7 +153,7 @@ fn main() {
         ..GenLogConfig::default()
     };
     // Smoke traces are short, so shrink the pages with them: the gates
-    // test the machinery (prune accounting, pushdown, sync batching),
+    // test the machinery (prune accounting, pushdown),
     // and a 600k-record trace needs finer pages for a 1-hour window to
     // be prunable at the same ratio as the full 3M-record run.
     let page_rows = if smoke { 256 } else { DEFAULT_PAGE_ROWS };
@@ -204,18 +195,12 @@ fn main() {
     println!("  streaming report (jobs=4): {streaming_wall_ms} ms");
 
     // Ingest configurations. The 1-worker run prices serial ingest; the
-    // two 4-worker runs are the batched-sync before/after and repeat
-    // `ingest_reps` times each — the comparison uses min-of-N so one
-    // noisy run cannot flip the gate. The batched 4-worker config runs
-    // last, so the store the rest of the benchmark queries is the
-    // batched one (content is byte-identical either way).
+    // 4-worker run repeats `ingest_reps` times and the comparison uses
+    // min-of-N so one noisy run cannot flip the gate (content is
+    // byte-identical at any worker count).
     let mut ingest_runs = Vec::new();
     let mut events = 0u64;
-    for (jobs, batch_sync, reps) in [
-        (1usize, true, 1u32),
-        (4, false, ingest_reps),
-        (4, true, ingest_reps),
-    ] {
+    for (jobs, reps) in [(1usize, 1u32), (4, ingest_reps)] {
         let mut runs_ms = Vec::new();
         for _ in 0..reps {
             let mut reader = MrtReader::new(BufReader::new(File::open(log_path).unwrap()));
@@ -226,7 +211,6 @@ fn main() {
                 0,
                 &IngestConfig::default()
                     .with_jobs(jobs)
-                    .with_batch_sync(batch_sync)
                     .with_page_rows(page_rows),
             )
             .unwrap_or_else(|e| {
@@ -238,28 +222,25 @@ fn main() {
         }
         let wall_ms = *runs_ms.iter().min().expect("reps >= 1");
         println!(
-            "  ingest jobs={jobs} batch_sync={batch_sync}: min {wall_ms} ms of {runs_ms:?} \
+            "  ingest jobs={jobs}: min {wall_ms} ms of {runs_ms:?} \
              ({:.0} records/s)",
             written as f64 * 1000.0 / wall_ms as f64,
         );
         ingest_runs.push(IngestRun {
             jobs,
-            batch_sync,
             wall_ms,
             runs_ms,
             records_per_sec: written as f64 * 1000.0 / wall_ms as f64,
         });
     }
-    let min_wall = |jobs: usize, batched: bool| {
+    let min_wall = |jobs: usize| {
         ingest_runs
             .iter()
-            .find(|r| r.jobs == jobs && r.batch_sync == batched)
+            .find(|r| r.jobs == jobs)
             .map_or(1, |r| r.wall_ms) as f64
     };
-    let batched_sync_speedup = min_wall(4, false) / min_wall(4, true).max(1.0);
-    println!("  batched-sync speedup at 4 workers: {batched_sync_speedup:.2}x (min-of-N)");
     let parallel_ingest_speedup =
-        (effective_cores >= 2).then(|| min_wall(1, true) / min_wall(4, true).max(1.0));
+        (effective_cores >= 2).then(|| min_wall(1) / min_wall(4).max(1.0));
     let store_bytes: u64 = {
         let store = Store::open(dir).expect("open store");
         store.manifest().segments.iter().map(|s| s.bytes).sum()
@@ -420,18 +401,6 @@ fn main() {
         reports_identical,
         "store replay vs streaming report",
     );
-    // Batching must never lose. Both modes issue one fsync per segment
-    // (batched merely defers them past the writes), so a healthy ratio
-    // sits at exactly 1.0 and the regression this guards against
-    // (0.897x, fsyncs serialized after the worker join) is 10% away —
-    // the gate therefore allows timer noise in the third decimal, i.e.
-    // >= 1.0 at the precision the report prints.
-    gate(
-        &mut failed,
-        "batched_sync_speedup >= 1.0",
-        batched_sync_speedup >= 0.995,
-        &format!("{batched_sync_speedup:.2}x, min-of-{ingest_reps}"),
-    );
     gate(
         &mut failed,
         "windowed_prune_ratio >= 0.9",
@@ -462,7 +431,7 @@ fn main() {
     }
 
     let report = BenchReport {
-        schema: "bench-store-v3",
+        schema: "bench-store-v4",
         smoke,
         effective_cores,
         records: written,
@@ -475,7 +444,6 @@ fn main() {
         bytes_per_event: store_bytes as f64 / events.max(1) as f64,
         streaming_wall_ms,
         ingest: ingest_runs,
-        batched_sync_speedup,
         parallel_ingest_speedup,
         replay_wall_ms,
         reports_identical,

@@ -13,11 +13,11 @@
 //! mrtstat --demo [--jobs N]          # generate a demo log in-memory and analyze it
 //! ```
 //!
-//! All three paths run behind the shared [`iri_bench::engine`] API:
-//! without `--jobs` the [`SequentialEngine`], with `--jobs N` the
-//! [`PipelineEngine`] (N sharded workers; `--jobs 0` picks one per CPU),
-//! and store replay the [`StoreReplayEngine`] — every engine renders the
-//! identical report for the same logical stream. Store replay accepts
+//! All three paths run through [`iri_bench::engine::analyze`]: without
+//! `--jobs` the single-threaded classifier, with `--jobs N` the sharded
+//! streaming pipeline (N workers; `--jobs 0` picks one per CPU), and
+//! `--store` alone a replay of the archive — each renders the identical
+//! report for the same logical stream. Store replay accepts
 //! the shared filter grammar (`--class`, `--peer`, `--day`, `--strict`,
 //! `--stats`, …) so a report can be cut to a slice of the archive.
 //!
@@ -29,10 +29,8 @@
 //! quarantined/strict, 6 JSON, 7 pipeline/ingest.
 
 use iri_bench::cli::{self, QueryFilter};
-use iri_bench::{
-    arg_str, arg_u64, logged_to_events, report_from_analysis, AnalysisEngine, EngineInput,
-    EngineOutput, PipelineEngine, SequentialEngine, StoreReplayEngine, UpdateReport,
-};
+use iri_bench::engine::{analyze, EngineInput, EngineOutput};
+use iri_bench::{arg_str, arg_u64, logged_to_events, report_from_analysis, UpdateReport};
 use iri_core::input::UpdateEvent;
 use iri_mrt::MrtReader;
 use iri_obs::RegistrySnapshot;
@@ -80,23 +78,10 @@ fn usage() -> ! {
     std::process::exit(cli::EXIT_USAGE);
 }
 
-/// Picks the engine the flags ask for and runs it, with uniform error
-/// reporting and exit codes.
+/// Runs the analysis the flags ask for, with uniform error reporting
+/// and exit codes.
 fn run_engine(jobs: Option<usize>, obs: bool, input: EngineInput<'_>) -> EngineOutput {
-    let mut seq = SequentialEngine;
-    let mut pipe;
-    let mut replay = StoreReplayEngine;
-    let engine: &mut dyn AnalysisEngine = match (&input, jobs) {
-        (EngineInput::Store { .. }, _) => &mut replay,
-        (_, Some(jobs)) => {
-            let mut cfg = PipelineConfig::with_jobs(jobs);
-            cfg.obs = obs;
-            pipe = PipelineEngine::new(cfg);
-            &mut pipe
-        }
-        _ => &mut seq,
-    };
-    engine.run(input).unwrap_or_else(|e| {
+    analyze(input, jobs, obs).unwrap_or_else(|e| {
         eprintln!("mrtstat: {e}");
         std::process::exit(e.exit_code());
     })
@@ -132,7 +117,7 @@ fn main() {
         if let Some(dir) = &store_dir {
             // One pass over the log: classify, report, AND archive.
             // Ingest is inherently pipeline-shaped, so this path does not
-            // go through the engine trait.
+            // go through `analyze`.
             let mut cfg = PipelineConfig::with_jobs(jobs.unwrap_or(0));
             cfg.obs = obs;
             let ing = IngestConfig {
@@ -198,8 +183,8 @@ fn main() {
     print!("{}", report.render());
 }
 
-/// Rebuilds the report from an existing archive via the store-replay
-/// engine, honouring the shared filter grammar — no MRT input needed.
+/// Rebuilds the report from an existing archive by replaying it,
+/// honouring the shared filter grammar — no MRT input needed.
 fn report_from_archive(args: &[String], dir: &str) -> UpdateReport {
     let filter = QueryFilter::from_args(args).unwrap_or_else(|msg| {
         eprintln!("mrtstat: {msg}");

@@ -1,25 +1,19 @@
-//! The unified analysis-engine API.
+//! One entry point for the §4/§5 [`UpdateReport`].
 //!
-//! Three ways of producing the §4/§5 [`UpdateReport`] grew up separately
-//! — sequential classification, the sharded streaming pipeline, and
-//! store replay — each with its own entry points and error shapes. This
-//! module puts them behind one trait:
+//! [`analyze`] produces the report from whichever source the input
+//! names — in-memory events, an MRT log, or a segment-store archive —
+//! and renders the same report for the same logical event stream
+//! whichever way it got there (the equivalence tests hold the paths
+//! byte-identical), so a binary can add `--jobs` or `--store` without
+//! changing what it prints.
 //!
 //! ```no_run
-//! use iri_bench::engine::{AnalysisEngine, EngineInput, PipelineEngine};
-//! use iri_pipeline::PipelineConfig;
+//! use iri_bench::engine::{analyze, EngineInput};
 //!
-//! let mut engine = PipelineEngine::new(PipelineConfig::with_jobs(4));
-//! let out = engine
-//!     .run(EngineInput::MrtFile { path: "trace.mrt".as_ref(), base_time: 0 })
-//!     .unwrap();
+//! let input = EngineInput::MrtFile { path: "trace.mrt".as_ref(), base_time: 0 };
+//! let out = analyze(input, Some(4), false).unwrap();
 //! print!("{}", out.report.render());
 //! ```
-//!
-//! The engines guarantee the same rendered report for the same logical
-//! event stream — the equivalence tests hold them byte-identical — so a
-//! binary can switch engines (`--jobs`, `--store`) without changing what
-//! it prints.
 
 use crate::cli::QueryFilter;
 use crate::report::{
@@ -34,7 +28,7 @@ use std::fs::File;
 use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
 
-/// What an engine runs on.
+/// What [`analyze`] runs on.
 pub enum EngineInput<'a> {
     /// In-memory prefix events (simulator output, demo streams).
     Events(&'a [UpdateEvent]),
@@ -56,26 +50,16 @@ pub enum EngineInput<'a> {
     },
 }
 
-impl EngineInput<'_> {
-    fn kind(&self) -> &'static str {
-        match self {
-            EngineInput::Events(_) => "in-memory events",
-            EngineInput::MrtFile { .. } => "an MRT file",
-            EngineInput::Store { .. } => "a segment store",
-        }
-    }
-}
-
-/// What every engine hands back: the report, plus whatever provenance
+/// What [`analyze`] hands back: the report, plus whatever provenance
 /// the input kind affords.
 pub struct EngineOutput {
     /// The common §4/§5 report.
     pub report: UpdateReport,
     /// MRT records read (MRT inputs only).
     pub records_read: Option<u64>,
-    /// Full pipeline result with telemetry ([`PipelineEngine`] only).
+    /// Full pipeline result with telemetry (pipeline runs only).
     pub analysis: Option<AnalysisResult>,
-    /// Store scan accounting ([`StoreReplayEngine`] only).
+    /// Store scan accounting (store replay only).
     pub scan_stats: Option<ScanStats>,
 }
 
@@ -90,7 +74,7 @@ impl EngineOutput {
     }
 }
 
-/// Why an engine run failed.
+/// Why [`analyze`] failed.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -105,13 +89,6 @@ pub enum EngineError {
     Pipeline(PipelineError),
     /// The store could not be opened or scanned.
     Store(StoreError),
-    /// The engine does not handle this input kind.
-    Unsupported {
-        /// The engine asked.
-        engine: &'static str,
-        /// The input kind it was given.
-        input: &'static str,
-    },
 }
 
 impl EngineError {
@@ -124,7 +101,6 @@ impl EngineError {
             EngineError::Io { .. } => 3,
             EngineError::Store(e) => e.exit_code(),
             EngineError::Pipeline(_) => 7,
-            EngineError::Unsupported { .. } => 2,
         }
     }
 }
@@ -137,9 +113,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::Pipeline(e) => write!(f, "{e}"),
             EngineError::Store(e) => write!(f, "{e}"),
-            EngineError::Unsupported { engine, input } => {
-                write!(f, "the {engine} engine cannot run on {input}")
-            }
         }
     }
 }
@@ -158,25 +131,19 @@ impl From<StoreError> for EngineError {
     }
 }
 
-/// A producer of the common report. All engines yield identical
-/// rendered reports for the same logical event stream.
-pub trait AnalysisEngine {
-    /// Short engine name for messages and telemetry.
-    fn name(&self) -> &'static str;
-
-    /// Runs the engine over one input.
-    fn run(&mut self, input: EngineInput<'_>) -> Result<EngineOutput, EngineError>;
+fn open_mrt(path: &Path) -> Result<MrtReader<BufReader<File>>, EngineError> {
+    let file = File::open(path).map_err(|e| EngineError::Io {
+        path: path.to_path_buf(),
+        source: e,
+    })?;
+    Ok(MrtReader::new(BufReader::new(file)))
 }
 
 /// Reads MRT records until EOF or the first malformed record (matching
 /// the historical tolerant CLI behaviour), resolving base time 0 to the
 /// first record's timestamp.
 fn read_mrt_file(path: &Path, base_time: u32) -> Result<(Vec<MrtRecord>, u32), EngineError> {
-    let file = File::open(path).map_err(|e| EngineError::Io {
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    let mut reader = MrtReader::new(BufReader::new(file));
+    let mut reader = open_mrt(path)?;
     let mut records = Vec::new();
     loop {
         match reader.next_record() {
@@ -196,107 +163,51 @@ fn read_mrt_file(path: &Path, base_time: u32) -> Result<(Vec<MrtRecord>, u32), E
     Ok((records, base))
 }
 
-/// Classic single-threaded engine: classify in stream order, reduce
-/// through the streaming sinks.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SequentialEngine;
-
-impl AnalysisEngine for SequentialEngine {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn run(&mut self, input: EngineInput<'_>) -> Result<EngineOutput, EngineError> {
-        match input {
-            EngineInput::Events(events) => Ok(EngineOutput::bare(report_from_events(events))),
-            EngineInput::MrtFile { path, base_time } => {
-                let (records, base) = read_mrt_file(path, base_time)?;
-                let events = events_from_mrt(&records, base);
-                let mut out = EngineOutput::bare(report_from_events(&events));
-                out.records_read = Some(records.len() as u64);
-                Ok(out)
-            }
-            other => Err(EngineError::Unsupported {
-                engine: self.name(),
-                input: other.kind(),
-            }),
+/// Produces the report for `input`. A store is replayed, honouring the
+/// filter's row predicates and strict flag; events and MRT logs go
+/// through the sharded streaming pipeline when `jobs` is given (0 = one
+/// worker per CPU; `obs` switches its fine-grained registry on) and
+/// otherwise through the single-threaded classifier in stream order —
+/// the reference the pipeline is held against.
+pub fn analyze(
+    input: EngineInput<'_>,
+    jobs: Option<usize>,
+    obs: bool,
+) -> Result<EngineOutput, EngineError> {
+    let pipeline = jobs.map(|jobs| {
+        let mut cfg = PipelineConfig::with_jobs(jobs);
+        cfg.obs = obs;
+        cfg
+    });
+    match (input, pipeline) {
+        (EngineInput::Store { dir, filter }, _) => {
+            let mut store = filter.open(dir)?;
+            let (report, stats) = report_from_store_query(&mut store, filter.query())?;
+            let mut out = EngineOutput::bare(report);
+            out.scan_stats = Some(stats);
+            Ok(out)
         }
-    }
-}
-
-/// The sharded streaming pipeline with stage telemetry.
-#[derive(Debug, Clone)]
-pub struct PipelineEngine {
-    /// Worker pool configuration.
-    pub cfg: PipelineConfig,
-}
-
-impl PipelineEngine {
-    /// An engine over the given pool configuration.
-    #[must_use]
-    pub fn new(cfg: PipelineConfig) -> Self {
-        PipelineEngine { cfg }
-    }
-}
-
-impl AnalysisEngine for PipelineEngine {
-    fn name(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn run(&mut self, input: EngineInput<'_>) -> Result<EngineOutput, EngineError> {
-        match input {
-            EngineInput::Events(events) => {
-                let result = iri_pipeline::analyze_events(events, &self.cfg)?;
-                let mut out = EngineOutput::bare(report_from_analysis(&result));
-                out.analysis = Some(result);
-                Ok(out)
-            }
-            EngineInput::MrtFile { path, base_time } => {
-                let file = File::open(path).map_err(|e| EngineError::Io {
-                    path: path.to_path_buf(),
-                    source: e,
-                })?;
-                let mut reader = MrtReader::new(BufReader::new(file));
-                let (result, records) =
-                    iri_pipeline::analyze_mrt(&mut reader, base_time, &self.cfg)?;
-                let mut out = EngineOutput::bare(report_from_analysis(&result));
-                out.records_read = Some(records);
-                out.analysis = Some(result);
-                Ok(out)
-            }
-            other => Err(EngineError::Unsupported {
-                engine: self.name(),
-                input: other.kind(),
-            }),
+        (EngineInput::Events(events), None) => Ok(EngineOutput::bare(report_from_events(events))),
+        (EngineInput::MrtFile { path, base_time }, None) => {
+            let (records, base) = read_mrt_file(path, base_time)?;
+            let events = events_from_mrt(&records, base);
+            let mut out = EngineOutput::bare(report_from_events(&events));
+            out.records_read = Some(records.len() as u64);
+            Ok(out)
         }
-    }
-}
-
-/// Report reconstruction by replaying a segment-store archive — no MRT
-/// parsing, no simulation, honouring the filter's row predicates and
-/// strict flag.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StoreReplayEngine;
-
-impl AnalysisEngine for StoreReplayEngine {
-    fn name(&self) -> &'static str {
-        "store-replay"
-    }
-
-    fn run(&mut self, input: EngineInput<'_>) -> Result<EngineOutput, EngineError> {
-        match input {
-            EngineInput::Store { dir, filter } => {
-                let mut store = filter.open(dir)?;
-                let (report, stats) = report_from_store_query(&mut store, filter.query())?;
-                let mut out = EngineOutput::bare(report);
-                out.scan_stats = Some(stats);
-                Ok(out)
-            }
-            other => Err(EngineError::Unsupported {
-                engine: self.name(),
-                input: other.kind(),
-            }),
+        (EngineInput::Events(events), Some(cfg)) => {
+            let result = iri_pipeline::analyze_events(events, &cfg)?;
+            let mut out = EngineOutput::bare(report_from_analysis(&result));
+            out.analysis = Some(result);
+            Ok(out)
+        }
+        (EngineInput::MrtFile { path, base_time }, Some(cfg)) => {
+            let (result, records) =
+                iri_pipeline::analyze_mrt(&mut open_mrt(path)?, base_time, &cfg)?;
+            let mut out = EngineOutput::bare(report_from_analysis(&result));
+            out.records_read = Some(records);
+            out.analysis = Some(result);
+            Ok(out)
         }
     }
 }
@@ -304,24 +215,6 @@ impl AnalysisEngine for StoreReplayEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engines_refuse_foreign_inputs_with_usage_code() {
-        let Err(err) = StoreReplayEngine.run(EngineInput::Events(&[])) else {
-            panic!("store replay cannot run on events");
-        };
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("store-replay"));
-
-        let filter = QueryFilter::new();
-        let Err(err) = SequentialEngine.run(EngineInput::Store {
-            dir: Path::new("/nonexistent"),
-            filter: &filter,
-        }) else {
-            panic!("sequential cannot run on a store");
-        };
-        assert!(matches!(err, EngineError::Unsupported { .. }));
-    }
 
     #[test]
     fn sequential_and_pipeline_agree_on_events() {
@@ -337,17 +230,10 @@ mod tests {
         let mut reader = MrtReader::new(log.as_slice());
         let records: Vec<MrtRecord> = reader.iter().collect::<Result<_, _>>().unwrap();
         let events = events_from_mrt(&records, crate::genlog::BASE_TIME);
-        let seq = SequentialEngine
-            .run(EngineInput::Events(&events))
-            .unwrap()
-            .report
-            .render();
-        let mut pipe = PipelineEngine::new(PipelineConfig::with_jobs(3));
-        let par = pipe
-            .run(EngineInput::Events(&events))
-            .unwrap()
-            .report
-            .render();
-        assert_eq!(seq, par);
+        let render = |jobs| {
+            let out = analyze(EngineInput::Events(&events), jobs, false).unwrap();
+            out.report.render()
+        };
+        assert_eq!(render(None), render(Some(3)));
     }
 }

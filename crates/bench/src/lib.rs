@@ -26,10 +26,6 @@ pub use cli::{
     arg_f64, arg_flag, arg_str, arg_u64, banner, exit_store_error, print_scan_stats, QueryFilter,
     EXIT_USAGE,
 };
-pub use engine::{
-    AnalysisEngine, EngineError, EngineInput, EngineOutput, PipelineEngine, SequentialEngine,
-    StoreReplayEngine,
-};
 pub use experiment::{experiment, experiment_args, Experiment};
 pub use genlog::{write_synthetic_log, GenLogConfig};
 pub use obs_scenario::{run_pathology, CauseBreakdown, ObsScenario};

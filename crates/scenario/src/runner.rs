@@ -301,12 +301,10 @@ struct ResumePlan {
     base_spill: SpillSummary,
     /// Census at the last skipped day's end.
     base_census: usize,
-    /// The crash landed between a cadence commit and its compaction:
-    /// compact once before appending anything.
+    /// The recovered store sits on a cadence boundary, so the crash may
+    /// have landed between the commit and its compaction: compact once
+    /// before appending anything.
     catch_up_compact: bool,
-    /// The recorded run already ran its final compaction: don't repeat
-    /// it (compaction always bumps the generation).
-    final_compact_done: bool,
 }
 
 impl Default for ResumePlan {
@@ -320,7 +318,6 @@ impl Default for ResumePlan {
             base_spill: SpillSummary::default(),
             base_census: 0,
             catch_up_compact: false,
-            final_compact_done: false,
         }
     }
 }
@@ -420,30 +417,25 @@ fn plan_resume(
     } else {
         tape.len()
     };
-    // Generation arithmetic: a fresh store opens at generation 1, every
-    // append commit and every compaction bumps it. The cadence compacts
-    // after every COMPACT_EVERY_COMMITS full batches, so the recovered
-    // generation tells us whether a cadence compact (or the final one)
-    // already happened.
-    let appends = committed / batch + u64::from(!committed.is_multiple_of(batch));
-    let compacts = generation.checked_sub(1 + appends).ok_or_else(|| {
-        mismatch(format!(
-            "store generation {generation} is too low for {committed} committed events"
-        ))
-    })?;
-    let cadence = (committed / batch) / COMPACT_EVERY_COMMITS;
-    let (catch_up_compact, final_compact_done) = if compacts + 1 == cadence {
-        (true, false)
-    } else if compacts == cadence {
-        (false, false)
-    } else if compacts == cadence + 1 && start_day == days {
-        (false, true)
-    } else {
+    // Compacting a canonical store changes nothing, generation included,
+    // so the plan need not know whether the compaction at a boundary
+    // already ran: on a cadence boundary it compacts before appending
+    // anything, and the final compaction always runs. The generation is
+    // only held to the range the commit count allows: a fresh store
+    // opens at generation 1, every append bumps it, and so does each
+    // cadence or final compaction that had something to rewrite.
+    let full = committed / batch;
+    let appends = full + u64::from(!committed.is_multiple_of(batch));
+    let cadence = full / COMPACT_EVERY_COMMITS;
+    if !(1 + appends..=2 + appends + cadence).contains(&generation) {
         return Err(mismatch(format!(
             "store generation {generation} inconsistent with {committed} committed events \
-             ({compacts} compactions, expected about {cadence})"
+             ({appends} appends, at most {} compactions)",
+            cadence + 1
         )));
-    };
+    }
+    let catch_up_compact =
+        full > 0 && committed.is_multiple_of(batch) && full.is_multiple_of(COMPACT_EVERY_COMMITS);
     Ok(ResumePlan {
         committed,
         start_day,
@@ -453,7 +445,6 @@ fn plan_resume(
         base_spill,
         base_census,
         catch_up_compact,
-        final_compact_done,
     })
 }
 
@@ -621,8 +612,9 @@ impl ScenarioRunner {
             );
         }
         // A crash between a cadence commit and its compaction leaves the
-        // generation one short; compact before any new append so the
-        // generation sequence matches an uninterrupted run.
+        // compaction undone; compact before any new append so the
+        // generation sequence matches an uninterrupted run. If it did
+        // run, this one finds the store canonical and changes nothing.
         if plan.catch_up_compact {
             store.compact(segment_rows)?;
         }
@@ -880,11 +872,10 @@ impl ScenarioRunner {
         // Canonicalize the tail left since the last cadence compaction and
         // reclaim retired generations — no reader is pinned here, so the
         // final store layout is a pure function of the event sequence.
-        // Skipped when a resumed run already did it (compaction always
-        // bumps the generation).
-        if !plan.final_compact_done {
-            store.compact(segment_rows)?;
-        }
+        // Right after a cadence compaction, or resuming a run that
+        // already finished, it finds the store canonical and changes
+        // nothing, generation included.
+        store.compact(segment_rows)?;
 
         // Final poll after the last commit; the watcher only ever consumes
         // completed bins in order, so the cumulative incident list does not

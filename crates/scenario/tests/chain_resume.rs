@@ -283,45 +283,55 @@ fn crash_matrix_resume_reproduces_the_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&c_ref);
 }
 
+/// Stopped and resumed, twice: the matrix pack, and the same world cut
+/// into one-row segments. There every segment is full, so every
+/// compaction finds the store canonical and leaves the generation
+/// alone — a resume plan that read the compaction count out of the
+/// generation refused this store past its second cadence boundary.
 #[test]
 fn stop_hook_then_resume_is_byte_identical() {
-    let pack = chain_pack();
-    let d_ref = temp_dir("stop-ref");
-    let c_ref = temp_dir("stop-ref-chain");
-    let ref_report =
-        killed_record_run(&pack, iri_faults::real_fs(), &d_ref, &c_ref).expect("reference run");
+    let mut one_row = chain_pack();
+    one_row.run.batch_events = 2;
+    one_row.run.segment_rows = 1;
+    for (tag, pack, stop, resumed_past) in [("stop", chain_pack(), 3, 0), ("rows", one_row, 6, 64)]
+    {
+        let d_ref = temp_dir(&format!("{tag}-ref"));
+        let c_ref = temp_dir(&format!("{tag}-ref-chain"));
+        let ref_report =
+            killed_record_run(&pack, iri_faults::real_fs(), &d_ref, &c_ref).expect("reference run");
 
-    let store = temp_dir("stop-store");
-    let chain = temp_dir("stop-chain");
-    let err = ScenarioRunner::new(
-        pack.clone(),
-        RunnerOptions {
-            chain_dir: Some(chain.clone()),
-            stop_after_chunks: Some(3),
-            ..opts(ChainMode::Record, iri_faults::real_fs())
-        },
-    )
-    .run(&store)
-    .expect_err("stop hook must interrupt the run");
-    match err {
-        RunError::Stopped { chunks } => assert_eq!(chunks, 3),
-        other => panic!("expected Stopped, got {other}"),
-    }
-    let report = resume_run(&pack, &store, &chain).expect("resume after stop");
-    assert!(report.resumed_from.is_some());
-    assert_eq!(det_fields(&ref_report), det_fields(&report));
-    assert_same_files(
-        "stop+resume store",
-        &store_bytes(&d_ref),
-        &store_bytes(&store),
-    );
-    assert_same_files(
-        "stop+resume chain",
-        &store_bytes(&c_ref),
-        &store_bytes(&chain),
-    );
-    for d in [d_ref, c_ref, store, chain] {
-        let _ = std::fs::remove_dir_all(&d);
+        let store = temp_dir(&format!("{tag}-store"));
+        let chain = temp_dir(&format!("{tag}-chain"));
+        let err = ScenarioRunner::new(
+            pack.clone(),
+            RunnerOptions {
+                chain_dir: Some(chain.clone()),
+                stop_after_chunks: Some(stop),
+                ..opts(ChainMode::Record, iri_faults::real_fs())
+            },
+        )
+        .run(&store)
+        .expect_err("stop hook must interrupt the run");
+        match err {
+            RunError::Stopped { chunks } => assert_eq!(chunks, stop),
+            other => panic!("expected Stopped, got {other}"),
+        }
+        let report = resume_run(&pack, &store, &chain).expect("resume after stop");
+        assert!(report.resumed_from >= Some(resumed_past), "{tag}");
+        assert_eq!(det_fields(&ref_report), det_fields(&report));
+        assert_same_files(
+            "stop+resume store",
+            &store_bytes(&d_ref),
+            &store_bytes(&store),
+        );
+        assert_same_files(
+            "stop+resume chain",
+            &store_bytes(&c_ref),
+            &store_bytes(&chain),
+        );
+        for d in [d_ref, c_ref, store, chain] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
     }
 }
 

@@ -1,47 +1,75 @@
-//! Durability: the atomic commit protocol, the manifest journal, and
-//! crash recovery.
+//! Durability: the store transaction, the manifest journal, and crash
+//! recovery.
 //!
-//! ## Commit protocol
+//! ## The transaction
 //!
-//! Every store commit — `ingest_mrt`, `StoreWriter::commit`, `compact` —
-//! walks the same five steps, each marked by a
+//! Every mutation of a store directory — `StoreWriter::create` +
+//! `commit`, `ingest_mrt`, `LiveStore::append_events`, compaction — is
+//! one `Txn`, which walks the same five steps, each marked by a
 //! [`CommitStep`] checkpoint the fault injector can kill at:
 //!
-//! 1. **Begin** — a `begin` record naming the new generation is written
-//!    to `MANIFEST.journal` and fsynced *before* any store file is
-//!    touched.
-//! 2. **SegmentsDurable** — every segment was written to `*.seg.tmp`,
-//!    fsynced, renamed to `*.seg`, and the directory fsynced.
+//! 1. **Begin** — `Txn::begin` writes a `begin` record naming the new
+//!    generation to `MANIFEST.journal` and fsyncs it *before* any store
+//!    file is touched.
+//! 2. **SegmentsDurable** — every new segment went through
+//!    `Txn::write_segment` (`*.seg.tmp`, rename to `*.seg`, fsync
+//!    deferred to `Txn::sync`, the seal's at the latest), every file
+//!    the commit replaces was moved by `Txn::displace` to
+//!    `retired/g<gen>/`, and the directory was fsynced.
 //! 3. **JournalSealed** — a `commit` record carrying the full manifest
 //!    (plus its checksum) is appended to the journal and fsynced. *This
 //!    is the commit point*: recovery from any later crash reproduces
 //!    the committed store.
 //! 4. **ManifestPublished** — `MANIFEST.json` is written to a temp
-//!    file, fsynced, and renamed into place.
+//!    file, fsynced, and renamed into place. It is never touched before
+//!    this step, so a crash earlier leaves the previous manifest whole.
 //! 5. **JournalRetired** — the journal is removed.
+//!
+//! Displaced files are never deleted before the commit point: a crash
+//! there needs them back, and a pinned [`crate::LiveStore`] snapshot may
+//! read them long after. The live store reclaims `retired/g<gen>/` as
+//! pins drop; an offline caller has no pins, so its transaction drops
+//! its own `retired/g<gen>/` between steps 4 and 5 — while the journal
+//! still marks the directory as mid-commit.
+//!
+//! Renaming a segment into place before its fsync is safe even where
+//! compaction reuses a canonical file name: the old version already sits
+//! in the retired tree, so after a crash recovery finds a torn file at
+//! the main path, quarantines it, and restores the retired copy.
 //!
 //! ## Recovery
 //!
 //! Recovery (run by every `Store::open`) never rescans the directory
 //! for truth — truth is the newest of (valid `MANIFEST.json`, valid
 //! journal `commit` record), by generation. Every segment the chosen
-//! manifest references is checksum-verified and cross-checked against
-//! its entry; failures are moved to `quarantine/` and dropped from the
-//! manifest (default) or returned as errors (strict). Files the chosen
-//! manifest does *not* reference — torn `*.tmp` leftovers, orphan
-//! segments from a dead ingest — are quarantined too. A `begin` record
-//! with no `commit` means the crash predates the commit point: the
-//! previous store (or the empty store, for a first ingest) is the
-//! recovered state — all-or-previous atomicity.
+//! manifest references is parsed and held against its entry by the same
+//! verifier every later load runs; failures are moved to `quarantine/`
+//! and dropped from the manifest (default) or returned as errors
+//! (strict), unless the retired tree still holds the version the
+//! manifest means. Files the chosen manifest does *not* reference — torn
+//! `*.tmp` leftovers, orphan segments from a dead commit — are
+//! quarantined too. A `begin` record with no `commit` means the crash
+//! predates the commit point: the previous store (or the empty store,
+//! for a first ingest) is the recovered state — all-or-previous
+//! atomicity. A journal also means the commit that wrote it is dead, so
+//! recovery ends by emptying that commit's `retired/g<gen>/`: after a
+//! rollback whatever was not restored (a copy that failed verification,
+//! a stale temp file) goes to `quarantine/`, after a roll-forward the
+//! superseded files are dropped. Retired directories of other
+//! generations are left to [`crate::LiveStore`].
 
-use crate::query::{build_manifest, parse_manifest, Manifest};
-use crate::{StoreError, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE};
+use crate::query::{build_manifest, parse_manifest, Manifest, SegmentMeta};
+use crate::segment::SegmentFile;
+use crate::{StoreError, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE, RETIRED_DIR};
 use iri_core::fxhash::FxHasher;
-use iri_faults::StoreFs;
+use iri_faults::{RetryPolicy, SharedFs, StoreFs};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 pub use iri_faults::CommitStep;
 
@@ -114,31 +142,36 @@ fn manifest_sum(manifest: &Manifest) -> Result<u64, StoreError> {
     Ok(h.finish())
 }
 
-fn encode_record(rec: &JournalRecord) -> Result<Vec<u8>, StoreError> {
-    let mut line = serde_json::to_string(rec).map_err(|e| StoreError::Json(e.to_string()))?;
+/// One journal line: the record of `state` for `generation`, carrying
+/// `manifest` and its checksum if it is the commit record.
+fn journal_line(
+    state: &str,
+    generation: u64,
+    segment_rows: u32,
+    manifest: Option<&Manifest>,
+) -> Result<Vec<u8>, StoreError> {
+    let rec = JournalRecord {
+        version: JOURNAL_VERSION,
+        generation,
+        state: state.to_string(),
+        segment_rows,
+        sum: manifest.map(manifest_sum).transpose()?.unwrap_or(0),
+        manifest: manifest.cloned(),
+    };
+    let mut line = serde_json::to_string(&rec).map_err(|e| StoreError::Json(e.to_string()))?;
     line.push('\n');
     Ok(line.into_bytes())
 }
 
-/// Writes (truncating any stale journal) and fsyncs the `begin` record:
-/// step 1 of the commit protocol. Must precede any mutation of the
-/// store directory.
-pub(crate) fn journal_begin(
+/// Writes (truncating any stale journal) and fsyncs the `begin` record.
+fn journal_begin(
     fs: &dyn StoreFs,
     dir: &Path,
     generation: u64,
     segment_rows: u32,
 ) -> Result<(), StoreError> {
-    let rec = JournalRecord {
-        version: JOURNAL_VERSION,
-        generation,
-        state: "begin".to_string(),
-        segment_rows,
-        sum: 0,
-        manifest: None,
-    };
     let path = dir.join(JOURNAL_FILE);
-    let bytes = encode_record(&rec)?;
+    let bytes = journal_line("begin", generation, segment_rows, None)?;
     fs.write(&path, &bytes).map_err(|e| io_at(&path, e))?;
     fs.sync(&path).map_err(|e| io_at(&path, e))?;
     fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
@@ -147,32 +180,59 @@ pub(crate) fn journal_begin(
 
 /// Appends and fsyncs the `commit` record — the commit point.
 fn journal_seal(fs: &dyn StoreFs, dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
-    let rec = JournalRecord {
-        version: JOURNAL_VERSION,
-        generation: manifest.generation,
-        state: "commit".to_string(),
-        segment_rows: manifest.segment_rows,
-        sum: manifest_sum(manifest)?,
-        manifest: Some(manifest.clone()),
-    };
     let path = dir.join(JOURNAL_FILE);
-    let bytes = encode_record(&rec)?;
+    let (generation, rows) = (manifest.generation, manifest.segment_rows);
+    let bytes = journal_line("commit", generation, rows, Some(manifest))?;
     fs.append(&path, &bytes).map_err(|e| io_at(&path, e))?;
     fs.sync(&path).map_err(|e| io_at(&path, e))?;
     Ok(())
 }
 
-/// Atomically publishes `MANIFEST.json`: temp file, fsync, rename,
-/// directory fsync.
+/// Runs one I/O operation under `retry`, adding the retries it spent to
+/// `spent` and mapping the final error to [`StoreError::Io`] at `path`.
+fn retried<T>(
+    retry: &RetryPolicy,
+    spent: &mut u64,
+    path: &Path,
+    op: impl FnMut() -> io::Result<T>,
+) -> Result<T, StoreError> {
+    let (res, used) = retry.run(op);
+    *spent += used;
+    res.map_err(|e| io_at(path, e))
+}
+
+/// The store's one atomic file replacement: `bytes` go to `<dest>.tmp`,
+/// which is renamed over `dest`. With `sync_first` the temp file is
+/// fsynced before the rename, so `dest` never names unflushed bytes —
+/// what the manifest and the watch state need, having nothing to fall
+/// back on. Without it the caller owes `dest` an fsync before anything
+/// relies on it (segments: `Txn::sync`). Returns the retries spent on
+/// transient errors.
+pub(crate) fn write_atomic(
+    fs: &dyn StoreFs,
+    retry: &RetryPolicy,
+    dest: &Path,
+    bytes: &[u8],
+    sync_first: bool,
+) -> Result<u64, StoreError> {
+    let mut tmp = dest.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut spent = 0;
+    retried(retry, &mut spent, &tmp, || fs.write(&tmp, bytes))?;
+    if sync_first {
+        retried(retry, &mut spent, &tmp, || fs.sync(&tmp))?;
+    }
+    retried(retry, &mut spent, dest, || fs.rename(&tmp, dest))?;
+    Ok(spent)
+}
+
+/// Atomically publishes `MANIFEST.json` and fsyncs the directory.
 fn publish_manifest(fs: &dyn StoreFs, dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
     let text =
         serde_json::to_string_pretty(manifest).map_err(|e| StoreError::Json(e.to_string()))?;
-    let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
     let dest = dir.join(MANIFEST_FILE);
-    fs.write(&tmp, text.as_bytes())
-        .map_err(|e| io_at(&tmp, e))?;
-    fs.sync(&tmp).map_err(|e| io_at(&tmp, e))?;
-    fs.rename(&tmp, &dest).map_err(|e| io_at(&dest, e))?;
+    write_atomic(fs, &RetryPolicy::none(), &dest, text.as_bytes(), true)?;
     fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
     Ok(())
 }
@@ -180,31 +240,180 @@ fn publish_manifest(fs: &dyn StoreFs, dir: &Path, manifest: &Manifest) -> Result
 /// Removes the journal once the manifest is published.
 fn retire_journal(fs: &dyn StoreFs, dir: &Path) -> Result<(), StoreError> {
     let path = dir.join(JOURNAL_FILE);
-    if fs.exists(&path) {
-        fs.remove(&path).map_err(|e| io_at(&path, e))?;
-        fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
+    fs.remove(&path).map_err(|e| io_at(&path, e))?;
+    fs.sync_dir(dir).map_err(|e| io_at(dir, e))
+}
+
+/// The directory a commit of generation `gen` parks displaced segments
+/// in: `retired/g<gen>`, zero-padded so lexicographic order is
+/// generation order.
+pub(crate) fn retired_dir_for(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(RETIRED_DIR).join(format!("g{gen:010}"))
+}
+
+/// Removes `retired/g<gen>/` — callable only where no pin can need it —
+/// and the retired root with it once nothing else is parked there.
+fn drop_retired(fs: &dyn StoreFs, dir: &Path, gen: u64) -> Result<(), StoreError> {
+    let gen_dir = retired_dir_for(dir, gen);
+    fs.remove_dir(&gen_dir).map_err(|e| io_at(&gen_dir, e))?;
+    let root = dir.join(RETIRED_DIR);
+    if fs.list(&root).is_ok_and(|names| names.is_empty()) {
+        fs.remove_dir(&root).map_err(|e| io_at(&root, e))?;
     }
     Ok(())
 }
 
-/// Steps 2–5 of the commit protocol, after the caller has made every
-/// segment file durable under its final name. Returns the manifest it
-/// published.
-pub(crate) fn commit(
-    fs: &dyn StoreFs,
-    dir: &Path,
-    manifest: Manifest,
-) -> Result<Manifest, StoreError> {
-    let step = |s: CommitStep| fs.checkpoint(s).map_err(|e| io_at(dir, e));
-    fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
-    step(CommitStep::SegmentsDurable)?;
-    journal_seal(fs, dir, &manifest)?;
-    step(CommitStep::JournalSealed)?;
-    publish_manifest(fs, dir, &manifest)?;
-    step(CommitStep::ManifestPublished)?;
-    retire_journal(fs, dir)?;
-    step(CommitStep::JournalRetired)?;
-    Ok(manifest)
+/// The retired tree's generation directories, oldest first.
+pub(crate) fn retired_generations(fs: &dyn StoreFs, dir: &Path) -> Vec<(u64, PathBuf)> {
+    let root = dir.join(RETIRED_DIR);
+    let names = fs.list(&root).unwrap_or_default();
+    let mut gens: Vec<(u64, PathBuf)> = names
+        .iter()
+        .filter_map(|n| Some((n.strip_prefix('g')?.parse().ok()?, root.join(n))))
+        .collect();
+    gens.sort();
+    gens
+}
+
+/// One commit of the protocol in the [module docs](self), from the
+/// journal `begin` record to the retired journal. Shared by reference:
+/// ingest workers write their segments through the one transaction
+/// their ingest began.
+#[derive(Debug)]
+pub(crate) struct Txn {
+    fs: SharedFs,
+    dir: PathBuf,
+    retry: RetryPolicy,
+    generation: u64,
+    /// Whether snapshots pinned on older generations may still read
+    /// what this commit displaces: the live store keeps
+    /// `retired/g<gen>/` and reclaims it as pins drop, an offline
+    /// caller drops it once the commit is sealed.
+    keep_retired: bool,
+    /// Segments renamed into place and still owed their fsync.
+    unsynced: Mutex<VecDeque<PathBuf>>,
+    /// Transient I/O errors absorbed by retry so far.
+    retries: AtomicU64,
+}
+
+impl Txn {
+    /// Step 1: makes the `begin` record of `generation` — one past the
+    /// caller's manifest — durable before anything in `dir` is touched.
+    pub(crate) fn begin(
+        fs: SharedFs,
+        dir: &Path,
+        retry: RetryPolicy,
+        generation: u64,
+        segment_rows: u32,
+        keep_retired: bool,
+    ) -> Result<Txn, StoreError> {
+        journal_begin(&*fs, dir, generation, segment_rows.max(1))?;
+        fs.checkpoint(CommitStep::Begin)
+            .map_err(|e| io_at(dir, e))?;
+        Ok(Txn {
+            fs,
+            dir: dir.to_path_buf(),
+            retry,
+            generation,
+            keep_retired,
+            unsynced: Mutex::default(),
+            retries: AtomicU64::new(0),
+        })
+    }
+
+    /// Begins a commit that replaces whatever `dir` (created if absent)
+    /// holds, as one generation past anything the directory names, and
+    /// displaces what it leaves behind: every segment, and any temp file
+    /// an earlier crash left in the root.
+    pub(crate) fn replacing(
+        fs: SharedFs,
+        dir: &Path,
+        retry: RetryPolicy,
+        segment_rows: u32,
+        keep_retired: bool,
+    ) -> Result<Txn, StoreError> {
+        fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
+        let generation = next_generation(&*fs, dir);
+        let txn = Txn::begin(fs, dir, retry, generation, segment_rows, keep_retired)?;
+        let names = txn.fs.list(dir).map_err(|e| io_at(dir, e))?;
+        names
+            .iter()
+            .filter(|name| name.ends_with(".seg") || name.ends_with(".tmp"))
+            .try_for_each(|name| txn.displace(name))?;
+        Ok(txn)
+    }
+
+    /// Transient I/O errors absorbed by retry so far. Relaxed throughout:
+    /// the count is a statistic and publishes no other data.
+    pub(crate) fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
+    }
+
+    /// Writes one segment file under its final name, each step retried
+    /// on transient errors. Its fsync is deferred to the next
+    /// `Txn::sync`, the seal's at the latest.
+    pub(crate) fn write_segment(&self, file: &str, bytes: &[u8]) -> Result<(), StoreError> {
+        let dest = self.dir.join(file);
+        let spent = write_atomic(&*self.fs, &self.retry, &dest, bytes, false)?;
+        self.retries.fetch_add(spent, Ordering::Relaxed);
+        self.unsynced.lock().expect("txn poisoned").push_back(dest);
+        Ok(())
+    }
+
+    /// Fsyncs segments written and not yet synced, one at a time off the
+    /// shared queue until it is empty. Ingest workers each call it as
+    /// they finish, on their own thread, so their passes overlap and
+    /// whoever is free takes the next file.
+    pub(crate) fn sync(&self) -> Result<(), StoreError> {
+        loop {
+            let next = self.unsynced.lock().expect("txn poisoned").pop_front();
+            let Some(dest) = next else { return Ok(()) };
+            let mut spent = 0;
+            let synced = retried(&self.retry, &mut spent, &dest, || self.fs.sync(&dest));
+            self.retries.fetch_add(spent, Ordering::Relaxed);
+            synced?;
+        }
+    }
+
+    /// Moves a file this commit replaces out of the store root into
+    /// `retired/g<gen>/`, where pinned snapshots and a rollback find it.
+    pub(crate) fn displace(&self, file: &str) -> Result<(), StoreError> {
+        let rdir = retired_dir_for(&self.dir, self.generation);
+        self.fs.create_dir_all(&rdir).map_err(|e| io_at(&rdir, e))?;
+        let path = self.dir.join(file);
+        self.fs
+            .rename(&path, &rdir.join(file))
+            .map_err(|e| io_at(&path, e))
+    }
+
+    /// Steps 2–5: makes every written segment durable, seals the
+    /// manifest of `segments` into the journal, publishes it and retires
+    /// the journal. Returns the manifest it published.
+    pub(crate) fn seal(
+        &self,
+        segments: Vec<SegmentMeta>,
+        segment_rows: u32,
+        records_read: u64,
+    ) -> Result<Manifest, StoreError> {
+        let manifest = build_manifest(segments, segment_rows, records_read, self.generation);
+        let (fs, dir) = (&*self.fs, self.dir.as_path());
+        let step = |s: CommitStep| fs.checkpoint(s).map_err(|e| io_at(dir, e));
+        self.sync()?;
+        fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
+        step(CommitStep::SegmentsDurable)?;
+        journal_seal(fs, dir, &manifest)?;
+        step(CommitStep::JournalSealed)?;
+        publish_manifest(fs, dir, &manifest)?;
+        step(CommitStep::ManifestPublished)?;
+        if !self.keep_retired {
+            // Still under the journal: a crash from here on is one
+            // recovery finishes, this directory included.
+            drop_retired(fs, dir, self.generation)?;
+        }
+        retire_journal(fs, dir)?;
+        step(CommitStep::JournalRetired)?;
+        Ok(manifest)
+    }
 }
 
 /// What a tolerant journal read finds: the newest `begin` intent and the
@@ -264,7 +473,7 @@ fn read_journal(fs: &dyn StoreFs, dir: &Path) -> JournalView {
 /// The generation a new commit into `dir` should carry: one past the
 /// newest generation any surviving manifest or journal record names.
 /// Best-effort by design — unreadable state counts as generation 0.
-pub(crate) fn next_generation(fs: &dyn StoreFs, dir: &Path) -> u64 {
+fn next_generation(fs: &dyn StoreFs, dir: &Path) -> u64 {
     let mut newest = 0u64;
     if let Ok(bytes) = fs.read(&dir.join(MANIFEST_FILE)) {
         if let Ok(m) = parse_manifest(&bytes) {
@@ -281,86 +490,67 @@ pub(crate) fn next_generation(fs: &dyn StoreFs, dir: &Path) -> u64 {
     newest + 1
 }
 
-/// Moves `name` into `quarantine/` (keeping a numbered suffix free) and
-/// records why. Missing files are recorded without a move.
+/// Moves the file at `src` (somewhere under the store directory) into
+/// `quarantine/` under its own name (keeping a numbered suffix free)
+/// and records why. Missing files are recorded without a move.
 fn quarantine_file(
     fs: &dyn StoreFs,
     dir: &Path,
-    name: &str,
+    src: &Path,
     reason: &str,
     recovery: &mut Recovery,
 ) -> Result<(), StoreError> {
-    let src = dir.join(name);
-    if fs.exists(&src) {
+    let name = src.file_name().unwrap_or_default().to_string_lossy();
+    if fs.exists(src) {
         let qdir = dir.join(QUARANTINE_DIR);
         fs.create_dir_all(&qdir).map_err(|e| io_at(&qdir, e))?;
-        let mut dest = qdir.join(name);
+        let mut dest = qdir.join(&*name);
         let mut n = 1u32;
         while fs.exists(&dest) {
             dest = qdir.join(format!("{name}.{n}"));
             n += 1;
         }
-        fs.rename(&src, &dest).map_err(|e| io_at(&src, e))?;
+        fs.rename(src, &dest).map_err(|e| io_at(src, e))?;
     }
+    let file = src.strip_prefix(dir).unwrap_or(src);
     recovery.quarantined.push(QuarantinedFile {
-        file: name.to_string(),
+        file: file.to_string_lossy().into_owned(),
         reason: reason.to_string(),
     });
     Ok(())
 }
 
-/// Checks segment bytes against the manifest entry that references
-/// them: internal checksum, then row count, shard, and size agreement.
-fn check_segment(bytes: &[u8], meta: &crate::query::SegmentMeta) -> Result<(), String> {
-    let check = crate::segment::validate(bytes).map_err(|e| match e {
-        StoreError::Corrupt { what, .. } => what,
-        other => other.to_string(),
-    })?;
-    if u64::from(check.rows) != meta.rows {
-        return Err(format!(
-            "segment holds {} rows, manifest says {}",
-            check.rows, meta.rows
-        ));
-    }
-    if u32::from(check.shard) != meta.shard {
-        return Err(format!(
-            "segment belongs to shard {}, manifest says {}",
-            check.shard, meta.shard
-        ));
-    }
-    if bytes.len() as u64 != meta.bytes {
-        return Err(format!(
-            "segment is {} bytes, manifest says {}",
-            bytes.len(),
-            meta.bytes
-        ));
-    }
-    Ok(())
+/// Holds a segment image against the manifest entry that references
+/// it, with the verifier every later load of the file runs: checksum
+/// and structure, then size, shard, row and page counts and every zone
+/// map the manifest replicates.
+fn verify(bytes: Vec<u8>, meta: &SegmentMeta) -> Result<(), String> {
+    SegmentFile::parse(bytes)
+        .and_then(|seg| seg.check_meta(meta))
+        .map_err(|e| match e {
+            StoreError::Corrupt { what, .. } => what,
+            other => other.to_string(),
+        })
 }
 
 /// Looks for a displaced copy of `meta`'s file in the retired tree and
-/// moves it back into the store root. A compaction retires the old
-/// files *before* its commit point; a crash in that window rolls back
+/// moves it back into the store root. A commit displaces the files it
+/// replaces *before* its commit point; a crash in that window rolls back
 /// to a manifest whose segments now sit under `retired/g<gen>/`.
 /// Newest retired generation wins; only a copy that validates against
 /// the manifest entry is restored.
 fn restore_from_retired(
     fs: &dyn StoreFs,
     dir: &Path,
-    meta: &crate::query::SegmentMeta,
+    meta: &SegmentMeta,
 ) -> Result<bool, StoreError> {
-    let root = dir.join(crate::RETIRED_DIR);
-    let Ok(mut gens) = fs.list(&root) else {
-        return Ok(false);
-    };
-    gens.sort();
-    for gen_name in gens.iter().rev() {
-        let candidate = root.join(gen_name).join(&meta.file);
+    for (_, gen_dir) in retired_generations(fs, dir).iter().rev() {
+        let candidate = gen_dir.join(&meta.file);
         if !fs.exists(&candidate) {
             continue;
         }
         let bytes = fs.read(&candidate).map_err(|e| io_at(&candidate, e))?;
-        if check_segment(&bytes, meta).is_err() {
+        if verify(bytes, meta).is_err() {
             continue;
         }
         let dest = dir.join(&meta.file);
@@ -413,18 +603,13 @@ pub(crate) fn recover(
     };
 
     let journal = read_journal(fs, dir);
+    let begun = journal.begin.map(|(generation, _)| generation);
     // Newest generation wins; on a tie the journal does — its commit
     // record is written before (and survives) the manifest publish.
     let (chosen, from_journal) = match (disk, journal.committed) {
-        (Some(d), Some(j)) => {
-            if j.generation >= d.generation {
-                (j, true)
-            } else {
-                (d, false)
-            }
-        }
+        (Some(d), Some(j)) if j.generation < d.generation => (d, false),
+        (_, Some(j)) => (j, true),
         (Some(d), None) => (d, false),
-        (None, Some(j)) => (j, true),
         (None, None) => {
             if let Some((generation, rows)) = journal.begin {
                 // Crashed after `begin`, before the commit point: the
@@ -452,7 +637,7 @@ pub(crate) fn recover(
         (chosen.generation, chosen.segment_rows, chosen.records_read);
 
     // Validate every referenced segment before serving queries from it:
-    // file present, checksum good, header agreeing with the manifest.
+    // file present, image sound, footer agreeing with the manifest.
     let mut recovery = Recovery::default();
     let mut kept = Vec::with_capacity(chosen.segments.len());
     let mut dropped = false;
@@ -461,7 +646,7 @@ pub(crate) fn recover(
         let verdict: Result<(), String> = match fs.read(&path) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Err("segment file missing".into()),
             Err(e) => return Err(io_at(&path, e)),
-            Ok(bytes) => check_segment(&bytes, &meta),
+            Ok(bytes) => verify(bytes, &meta),
         };
         match verdict {
             Ok(()) => kept.push(meta),
@@ -471,17 +656,16 @@ pub(crate) fn recover(
                 }
                 // A damaged copy at the main path must move aside before
                 // a retired copy can be renamed back over it.
-                if fs.exists(&path) {
-                    quarantine_file(fs, dir, &meta.file, &reason, &mut recovery)?;
+                let damaged = fs.exists(&path);
+                if damaged {
+                    quarantine_file(fs, dir, &path, &reason, &mut recovery)?;
                 }
                 if restore_from_retired(fs, dir, &meta)? {
                     recovery.restored.push(meta.file.clone());
                     kept.push(meta);
                 } else {
-                    if !fs.exists(&path)
-                        && !recovery.quarantined.iter().any(|q| q.file == meta.file)
-                    {
-                        quarantine_file(fs, dir, &meta.file, &reason, &mut recovery)?;
+                    if !damaged {
+                        quarantine_file(fs, dir, &path, &reason, &mut recovery)?;
                     }
                     dropped = true;
                 }
@@ -506,7 +690,7 @@ pub(crate) fn recover(
         if strict {
             return Err(StoreError::quarantined(dir.join(&name), reason));
         }
-        quarantine_file(fs, dir, &name, reason, &mut recovery)?;
+        quarantine_file(fs, dir, &dir.join(&name), reason, &mut recovery)?;
     }
 
     let manifest = build_manifest(kept, segment_rows, records_read, generation);
@@ -515,6 +699,20 @@ pub(crate) fn recover(
         publish_manifest(fs, dir, &manifest)?;
     }
     if journal_present {
+        if let Some(dead) = begun {
+            // The commit that wrote the journal is dead. Rolled back,
+            // what it displaced and recovery did not take back is what
+            // recovery refuses anywhere: a copy that failed verification,
+            // a stale temp file. Rolled forward, it is superseded.
+            let rdir = retired_dir_for(dir, dead);
+            if generation < dead {
+                for name in fs.list(&rdir).unwrap_or_default() {
+                    let reason = "displaced by an interrupted commit and not restored";
+                    quarantine_file(fs, dir, &rdir.join(name), reason, &mut recovery)?;
+                }
+            }
+            drop_retired(fs, dir, dead)?;
+        }
         retire_journal(fs, dir)?;
     }
     recovery.repaired_manifest = needs_republish;

@@ -2,18 +2,17 @@
 //!
 //! Two paths produce identical stores:
 //!
-//! - [`ingest_mrt`] runs the sharded streaming pipeline with a
-//!   [`StoreSink`] in every worker. The shard function routes each event
+//! - [`ingest_mrt`] runs the sharded streaming pipeline with a store
+//!   sink in every worker. The shard function routes each event
 //!   to worker `logical_shard % jobs`, so every logical shard's stream —
 //!   and therefore every segment file — is identical at any `--jobs`.
 //! - [`StoreWriter`] is the single-threaded writer behind the sink, also
 //!   used directly when events already carry causal provenance (simulator
 //!   traces, figure caches).
 //!
-//! Both paths commit through the crash-safe protocol in
-//! [`crate::durable`]: a journal `begin` record lands before anything is
-//! mutated, every segment is written `*.seg.tmp` → fsync → rename, and
-//! the manifest is journaled before being published. Transient I/O
+//! Both paths are one transaction of the crash-safe protocol in
+//! [`crate::durable`]: the entry point begins it, every segment is
+//! written through it, and the manifest is sealed by it. Transient I/O
 //! errors on the segment-write path are retried with bounded backoff
 //! ([`RetryPolicy`]); the retry count surfaces in
 //! [`IngestOutcome::retries`] and the `store.ingest.retries` counter.
@@ -23,8 +22,8 @@
 //! shard's last. Because segment encoding is a pure function of the row
 //! stream, compaction output depends only on the logical store content.
 
-use crate::durable::{self, CommitStep};
-use crate::query::{build_manifest, Manifest, SegmentMeta};
+use crate::durable::Txn;
+use crate::query::{parse_manifest, Manifest, SegmentMeta};
 use crate::segment::{segment_file_name, SegmentBuilder, SegmentData, DEFAULT_PAGE_ROWS};
 use crate::{
     logical_shard, shard_of_event, StoreError, StoredEvent, DEFAULT_SEGMENT_ROWS, LOGICAL_SHARDS,
@@ -32,12 +31,12 @@ use crate::{
 };
 use iri_core::classifier::ClassifiedEvent;
 use iri_core::input::UpdateEvent;
-use iri_faults::{real_fs, RetryPolicy, SharedFs, StoreFs};
+use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use iri_obs::cause::Cause;
 use iri_pipeline::{analyze_mrt_with_sink, AnalysisResult, ClassifiedSink, PipelineConfig};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Ingest tuning: pipeline worker settings, the segment roll size, and
 /// the I/O layer.
@@ -58,17 +57,6 @@ pub struct IngestConfig {
     pub fs: SharedFs,
     /// Retry budget for transient I/O errors on the segment-write path.
     pub retry: RetryPolicy,
-    /// Defer per-segment fsyncs to one batched pass before the journal
-    /// seal (default), instead of fsyncing inline after every segment
-    /// write. Durability is identical — every segment is synced before
-    /// the commit point — but the page cache absorbs the whole round
-    /// first, which removes the fsync-per-segment scaling cliff.
-    pub batch_sync: bool,
-    /// Move segment files this ingest replaces into `retired/g<gen>/`
-    /// instead of deleting them, so pinned reader snapshots of older
-    /// generations keep working. Used by [`crate::LiveStore`]; offline
-    /// ingest deletes (default).
-    pub retire_replaced: bool,
 }
 
 impl Default for IngestConfig {
@@ -79,8 +67,6 @@ impl Default for IngestConfig {
             page_rows: DEFAULT_PAGE_ROWS,
             fs: real_fs(),
             retry: RetryPolicy::default(),
-            batch_sync: true,
-            retire_replaced: false,
         }
     }
 }
@@ -120,66 +106,6 @@ impl IngestConfig {
         self.retry = retry;
         self
     }
-
-    /// Enables or disables batched segment fsync.
-    #[must_use]
-    pub fn with_batch_sync(mut self, batch: bool) -> Self {
-        self.batch_sync = batch;
-        self
-    }
-
-    /// Enables retiring replaced segments for pinned readers.
-    #[must_use]
-    pub fn with_retire_replaced(mut self, retire: bool) -> Self {
-        self.retire_replaced = retire;
-        self
-    }
-}
-
-fn io_at(path: &Path, e: io::Error) -> StoreError {
-    StoreError::io(path, e)
-}
-
-/// The directory a commit of generation `gen` parks replaced segments
-/// in: `retired/g<gen>`, zero-padded so lexicographic order is
-/// generation order.
-pub(crate) fn retired_dir_for(dir: &Path, gen: u64) -> PathBuf {
-    dir.join(crate::RETIRED_DIR).join(format!("g{gen:010}"))
-}
-
-/// Removes stale store files so re-ingest into an existing directory
-/// cannot leave orphaned segments behind the new manifest. The journal
-/// (already carrying this commit's `begin` record) and the quarantine
-/// directory are left alone. With `retire_to`, segment files are moved
-/// there (for still-pinned reader snapshots) instead of deleted.
-fn prepare_dir(fs: &dyn StoreFs, dir: &Path, retire_to: Option<&Path>) -> Result<(), StoreError> {
-    fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-    for name in fs.list(dir).map_err(|e| io_at(dir, e))? {
-        if !(name == MANIFEST_FILE || name.ends_with(".seg") || name.ends_with(".tmp")) {
-            continue;
-        }
-        let path = dir.join(&name);
-        match retire_to {
-            Some(rdir) if name.ends_with(".seg") => {
-                fs.create_dir_all(rdir).map_err(|e| io_at(rdir, e))?;
-                let dest = rdir.join(&name);
-                fs.rename(&path, &dest).map_err(|e| io_at(&path, e))?;
-            }
-            _ => fs.remove(&path).map_err(|e| io_at(&path, e))?,
-        }
-    }
-    Ok(())
-}
-
-/// Runs one I/O operation under a retry policy, mapping the final error
-/// to [`StoreError::Io`] at `path` and reporting retries used.
-fn run_retried<T>(
-    retry: &RetryPolicy,
-    path: &Path,
-    op: impl FnMut() -> io::Result<T>,
-) -> (Result<T, StoreError>, u64) {
-    let (res, used) = retry.run(op);
-    (res.map_err(|e| io_at(path, e)), used)
 }
 
 /// Deterministic per-shard segment writer.
@@ -190,31 +116,28 @@ fn run_retried<T>(
 /// own the shards congruent to their worker index — since shards never
 /// share files or sequence counters.
 ///
-/// Segment files are committed atomically: written to `<name>.tmp`,
-/// fsynced, then renamed over the final name.
+/// Every file goes through the store transaction the writer belongs to:
+/// written to `<name>.tmp`, renamed over the final name, fsynced before
+/// the commit point.
 #[derive(Debug)]
 pub struct StoreWriter {
-    dir: PathBuf,
-    fs: SharedFs,
-    retry: RetryPolicy,
+    txn: Arc<Txn>,
     segment_rows: u32,
     page_rows: u32,
-    generation: u64,
-    batch_sync: bool,
     builders: Vec<Option<SegmentBuilder>>,
     seqs: Vec<u32>,
     metas: Vec<SegmentMeta>,
-    pending_sync: Vec<PathBuf>,
-    retries: u64,
 }
 
 impl StoreWriter {
-    /// Creates a store directory (clearing any previous store in it) and
-    /// a writer over all shards. For single-threaded ingest of
-    /// pre-classified streams; pair with [`StoreWriter::commit`].
+    /// Begins a commit that replaces whatever store `dir` holds (created
+    /// if absent) and returns a writer over all shards. For
+    /// single-threaded ingest of pre-classified streams; pair with
+    /// [`StoreWriter::commit`].
     ///
-    /// Begins the commit protocol: the journal `begin` record is durable
-    /// before any existing store file is touched.
+    /// The previous store stays recoverable until the commit seals: its
+    /// segments are moved aside, not deleted, and its manifest is not
+    /// touched before the new one is published.
     pub fn create(dir: &Path, segment_rows: u32) -> Result<Self, StoreError> {
         Self::create_with(dir, segment_rows, real_fs(), RetryPolicy::default())
     }
@@ -227,50 +150,27 @@ impl StoreWriter {
         fs: SharedFs,
         retry: RetryPolicy,
     ) -> Result<Self, StoreError> {
-        fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-        let generation = durable::next_generation(&*fs, dir);
-        durable::journal_begin(&*fs, dir, generation, segment_rows.max(1))?;
-        fs.checkpoint(CommitStep::Begin)
-            .map_err(|e| io_at(dir, e))?;
-        prepare_dir(&*fs, dir, None)?;
-        let mut w = Self::attach_with(dir, segment_rows, fs, retry);
-        w.generation = generation;
-        Ok(w)
+        let txn = Txn::replacing(fs, dir, retry, segment_rows, false)?;
+        Ok(Self::extending(Arc::new(txn), segment_rows, Vec::new()))
     }
 
-    /// A writer over an already-prepared directory; does not clear
-    /// existing files or touch the journal. Used by the per-worker
-    /// ingest sinks, whose commit happens in [`ingest_mrt`].
-    #[must_use]
-    pub fn attach(dir: &Path, segment_rows: u32) -> Self {
-        Self::attach_with(dir, segment_rows, real_fs(), RetryPolicy::default())
-    }
-
-    /// [`StoreWriter::attach`] with an explicit filesystem and retry
-    /// policy.
-    #[must_use]
-    pub fn attach_with(dir: &Path, segment_rows: u32, fs: SharedFs, retry: RetryPolicy) -> Self {
+    /// A writer inside `txn` whose commit keeps `existing` and continues
+    /// each shard's segment chain after it — the live append path, and
+    /// (with nothing existing) every writer of a fresh store.
+    pub(crate) fn extending(txn: Arc<Txn>, segment_rows: u32, existing: Vec<SegmentMeta>) -> Self {
+        let mut seqs = vec![0u32; LOGICAL_SHARDS];
+        for meta in &existing {
+            let shard = meta.shard as usize;
+            seqs[shard] = seqs[shard].max(meta.seq + 1);
+        }
         StoreWriter {
-            dir: dir.to_path_buf(),
-            fs,
-            retry,
+            txn,
             segment_rows: segment_rows.max(1),
             page_rows: DEFAULT_PAGE_ROWS,
-            generation: 1,
-            batch_sync: true,
             builders: (0..LOGICAL_SHARDS).map(|_| None).collect(),
-            seqs: vec![0; LOGICAL_SHARDS],
-            metas: Vec::new(),
-            pending_sync: Vec::new(),
-            retries: 0,
+            seqs,
+            metas: existing,
         }
-    }
-
-    /// Switches between batched (default) and inline per-segment fsync.
-    #[must_use]
-    pub fn with_batch_sync(mut self, batch: bool) -> Self {
-        self.batch_sync = batch;
-        self
     }
 
     /// Sets the zone-map page size for segments this writer encodes.
@@ -278,20 +178,6 @@ impl StoreWriter {
     pub fn with_page_rows(mut self, rows: u32) -> Self {
         self.page_rows = rows.max(1);
         self
-    }
-
-    /// Continues each shard's segment chain at the given sequence
-    /// numbers instead of zero — the live append path, which adds new
-    /// segments after a store's existing ones.
-    pub(crate) fn start_at(&mut self, seqs: Vec<u32>) {
-        assert_eq!(seqs.len(), LOGICAL_SHARDS);
-        self.seqs = seqs;
-    }
-
-    /// Overrides the generation stamped into [`StoreWriter::commit`]'s
-    /// manifest (creation probes it from the directory).
-    pub(crate) fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
     }
 
     /// Appends one event, rolling its shard's segment if full.
@@ -307,42 +193,10 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Atomic segment write: `<file>.tmp`, fsync, rename. Each step is
-    /// retried on transient errors. With batched sync the fsync is
-    /// deferred: the file is queued for [`StoreWriter::sync_pending`],
-    /// which must run before the commit point.
-    fn write_segment(&mut self, file: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.dir.join(format!("{file}.tmp"));
-        let dest = self.dir.join(file);
-        let (res, n) = run_retried(&self.retry, &tmp, || self.fs.write(&tmp, bytes));
-        self.retries += n;
-        res?;
-        if !self.batch_sync {
-            let (res, n) = run_retried(&self.retry, &tmp, || self.fs.sync(&tmp));
-            self.retries += n;
-            res?;
-        }
-        let (res, n) = run_retried(&self.retry, &dest, || self.fs.rename(&tmp, &dest));
-        self.retries += n;
-        res?;
-        if self.batch_sync {
-            self.pending_sync.push(dest);
-        }
-        Ok(())
-    }
-
-    /// Fsyncs every segment written since the last call — the batched
-    /// half of the atomic-write protocol. Must complete before
-    /// the journal seals (`durable::commit`); [`StoreWriter::commit`]
-    /// calls it, and [`ingest_mrt`] runs one pass over all workers'
-    /// pending files.
+    /// Fsyncs every segment written so far and not yet synced. The
+    /// commit does this itself; calling it earlier only moves the cost.
     pub fn sync_pending(&mut self) -> Result<(), StoreError> {
-        for dest in std::mem::take(&mut self.pending_sync) {
-            let (res, n) = run_retried(&self.retry, &dest, || self.fs.sync(&dest));
-            self.retries += n;
-            res?;
-        }
-        Ok(())
+        self.txn.sync()
     }
 
     fn flush_shard(&mut self, shard: usize) -> Result<(), StoreError> {
@@ -355,7 +209,7 @@ impl StoreWriter {
         let seq = self.seqs[shard];
         let file = segment_file_name(shard, seq);
         let (bytes, meta) = builder.encode(file.clone(), seq);
-        self.write_segment(&file, &bytes)?;
+        self.txn.write_segment(&file, &bytes)?;
         self.metas.push(meta);
         self.seqs[shard] = seq + 1;
         Ok(())
@@ -369,91 +223,21 @@ impl StoreWriter {
         Ok(())
     }
 
-    /// Takes the manifest entries written so far (after [`flush_all`]).
-    ///
-    /// [`flush_all`]: StoreWriter::flush_all
-    #[must_use]
-    pub fn take_metas(&mut self) -> Vec<SegmentMeta> {
-        std::mem::take(&mut self.metas)
-    }
-
-    /// Transient-error retries spent so far.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
     /// Flushes everything and runs the rest of the commit protocol:
     /// journal seal, manifest publish, journal retire. `records_read` is
     /// carried into the manifest for provenance (0 if unknown).
     pub fn commit(mut self, records_read: u64) -> Result<Manifest, StoreError> {
         self.flush_all()?;
-        self.sync_pending()?;
-        let metas = self.take_metas();
-        let manifest = build_manifest(metas, self.segment_rows, records_read, self.generation);
-        durable::commit(&*self.fs, &self.dir, manifest)
-    }
-
-    /// Like [`StoreWriter::commit`] but with caller-supplied extra
-    /// manifest entries (the live append path: the previous manifest's
-    /// segments stay, this writer's new segments extend them).
-    pub(crate) fn commit_with_extra(
-        mut self,
-        mut extra: Vec<SegmentMeta>,
-        records_read: u64,
-    ) -> Result<Manifest, StoreError> {
-        self.flush_all()?;
-        self.sync_pending()?;
-        extra.extend(self.take_metas());
-        let manifest = build_manifest(extra, self.segment_rows, records_read, self.generation);
-        durable::commit(&*self.fs, &self.dir, manifest)
+        self.txn.seal(self.metas, self.segment_rows, records_read)
     }
 }
 
 /// Per-worker pipeline sink that persists every classified event. MRT
 /// ingest has no simulator provenance, so rows carry [`Cause::Unknown`].
 #[derive(Debug)]
-pub struct StoreSink {
+struct StoreSink {
     writer: StoreWriter,
     error: Option<StoreError>,
-}
-
-impl StoreSink {
-    /// A sink writing into `dir` (which must already be prepared).
-    #[must_use]
-    pub fn new(dir: &Path, segment_rows: u32) -> Self {
-        Self::new_with(dir, segment_rows, real_fs(), RetryPolicy::default())
-    }
-
-    /// [`StoreSink::new`] with an explicit filesystem and retry policy.
-    #[must_use]
-    pub fn new_with(dir: &Path, segment_rows: u32, fs: SharedFs, retry: RetryPolicy) -> Self {
-        StoreSink {
-            writer: StoreWriter::attach_with(dir, segment_rows, fs, retry),
-            error: None,
-        }
-    }
-
-    /// Switches between batched (default) and inline per-segment fsync.
-    #[must_use]
-    pub fn with_batch_sync(mut self, batch: bool) -> Self {
-        self.writer.batch_sync = batch;
-        self
-    }
-
-    /// Sets the zone-map page size.
-    #[must_use]
-    pub fn with_page_rows(mut self, rows: u32) -> Self {
-        self.writer = self.writer.with_page_rows(rows);
-        self
-    }
-
-    fn into_writer(mut self) -> Result<StoreWriter, StoreError> {
-        match self.error.take() {
-            Some(e) => Err(e),
-            None => Ok(self.writer),
-        }
-    }
 }
 
 impl ClassifiedSink for StoreSink {
@@ -471,12 +255,10 @@ impl ClassifiedSink for StoreSink {
         if self.error.is_some() {
             return;
         }
-        // Run this worker's batched fsync pass here, on the worker
-        // thread, so the passes overlap across workers. Leaving them
-        // all to the post-join loop in `ingest_mrt` serialized every
-        // fsync on the main thread — the regression that made batched
-        // sync *slower* than inline at jobs > 1. The post-join
-        // `sync_pending` still runs as a cheap no-op safety net.
+        // Run the fsync pass here, on the worker thread, so the passes
+        // overlap across workers: one pass after the join serialized
+        // every fsync on the main thread and made ingest slower at
+        // jobs > 1 than fsyncing inline had been.
         if let Err(e) = self
             .writer
             .flush_all()
@@ -509,57 +291,58 @@ pub struct IngestOutcome {
 /// files are byte-identical at any worker count. The whole ingest is one
 /// commit of the crash-safe protocol: a crash at any point leaves a
 /// directory `Store::open` recovers to either the committed store or the
-/// empty store of the begun generation — never a torn mix.
+/// store the directory held before — never a torn mix.
 pub fn ingest_mrt<R: std::io::Read>(
     dir: &Path,
     reader: &mut MrtReader<R>,
     base_time: u32,
     cfg: &IngestConfig,
 ) -> Result<IngestOutcome, StoreError> {
-    let fs = &cfg.fs;
-    let segment_rows = cfg.segment_rows.max(1);
-    fs.create_dir_all(dir).map_err(|e| io_at(dir, e))?;
-    let generation = durable::next_generation(&**fs, dir);
-    durable::journal_begin(&**fs, dir, generation, segment_rows)?;
-    fs.checkpoint(CommitStep::Begin)
-        .map_err(|e| io_at(dir, e))?;
-    let retire_to = cfg
-        .retire_replaced
-        .then(|| retired_dir_for(dir, generation));
-    prepare_dir(&**fs, dir, retire_to.as_deref())?;
+    ingest_mrt_in(dir, reader, base_time, cfg, false)
+}
 
-    let (analysis, sinks, records_read) = analyze_mrt_with_sink(
+/// [`ingest_mrt`], keeping the retired tree for the caller's pinned
+/// snapshots when `keep_retired` is set.
+pub(crate) fn ingest_mrt_in<R: std::io::Read>(
+    dir: &Path,
+    reader: &mut MrtReader<R>,
+    base_time: u32,
+    cfg: &IngestConfig,
+    keep_retired: bool,
+) -> Result<IngestOutcome, StoreError> {
+    let segment_rows = cfg.segment_rows.max(1);
+    let txn = Arc::new(Txn::replacing(
+        cfg.fs.clone(),
+        dir,
+        cfg.retry,
+        segment_rows,
+        keep_retired,
+    )?);
+
+    let (mut analysis, sinks, records_read) = analyze_mrt_with_sink(
         reader,
         base_time,
         &cfg.pipeline,
         |event, jobs| shard_of_event(event) % jobs,
-        |_worker, _jobs| {
-            StoreSink::new_with(dir, segment_rows, cfg.fs.clone(), cfg.retry)
-                .with_batch_sync(cfg.batch_sync)
-                .with_page_rows(cfg.page_rows)
+        |_worker, _jobs| StoreSink {
+            writer: StoreWriter::extending(txn.clone(), segment_rows, Vec::new())
+                .with_page_rows(cfg.page_rows),
+            error: None,
         },
     )
     .map_err(|e| StoreError::Ingest(e.to_string()))?;
 
     let mut metas = Vec::new();
-    let mut retries = 0u64;
     for sink in sinks {
-        // One batched fsync pass per worker covers every segment that
-        // worker renamed into place — all before the journal seal below.
-        let mut writer = sink.into_writer()?;
-        writer.sync_pending()?;
-        metas.extend(writer.take_metas());
-        retries += writer.retries();
+        if let Some(e) = sink.error {
+            return Err(e);
+        }
+        metas.extend(sink.writer.metas);
     }
-    let mut analysis = analysis;
+    let manifest = txn.seal(metas, segment_rows, records_read)?;
+    let retries = txn.retries();
     let retries_id = analysis.registry.counter("store.ingest.retries");
     analysis.registry.add(retries_id, retries);
-
-    let manifest = durable::commit(
-        &**fs,
-        dir,
-        build_manifest(metas, segment_rows, records_read, generation),
-    )?;
     Ok(IngestOutcome {
         manifest,
         analysis,
@@ -579,24 +362,6 @@ pub struct CompactReport {
     pub segments_after: usize,
 }
 
-/// How [`compact_with_opts`] treats generations and replaced files.
-///
-/// Offline compaction (the default) preserves the generation — its
-/// output is a pure function of the logical content, so two stores with
-/// equal content stay byte-identical — and deletes replaced segments.
-/// Live compaction under [`crate::LiveStore`] bumps the generation
-/// (snapshot pins and cache keys hang off it) and retires replaced
-/// segments for still-pinned readers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompactOptions {
-    /// Commit the rewrite as a new generation instead of preserving the
-    /// current one.
-    pub bump_generation: bool,
-    /// Move replaced segment files to `retired/g<gen>/` instead of
-    /// deleting them.
-    pub retire_replaced: bool,
-}
-
 /// Rewrites every shard whose segment chain is not in canonical form —
 /// all segments holding exactly `target_rows` rows except the shard's
 /// last — by re-encoding its row stream into fresh segments.
@@ -604,53 +369,58 @@ pub struct CompactOptions {
 /// Deterministic: the output bytes are a pure function of the store's
 /// logical content and `target_rows`. Compacting two stores that hold the
 /// same events (e.g. written with different original segment sizes)
-/// yields byte-identical directories; compacting twice is a no-op. The
-/// manifest generation is preserved, not bumped, for the same reason.
+/// yields byte-identical segment files; compacting a store that is
+/// already canonical at `target_rows` touches nothing, not even the
+/// generation.
 ///
-/// Unlike ingest, compaction rewrites in place and is *not* crash-atomic
-/// as a whole: a crash mid-compact can lose rewritten shards (recovery
-/// quarantines the partial work), but each segment write and the final
-/// manifest publish are individually atomic, so the store never serves
-/// torn bytes.
+/// One commit of the crash-safe protocol like any other: replaced
+/// segments are moved aside until the new manifest is sealed, so a crash
+/// anywhere recovers the store as it was before or as it is after.
 pub fn compact(dir: &Path, target_rows: u32) -> Result<CompactReport, StoreError> {
-    compact_with(dir, target_rows, &real_fs(), RetryPolicy::default())
+    compact_in(dir, target_rows, real_fs(), RetryPolicy::default())
 }
 
-/// [`compact`] with an explicit filesystem and retry policy.
-pub fn compact_with(
+/// [`compact`] through an explicit filesystem and retry policy: the
+/// crash matrix's way in.
+#[doc(hidden)]
+pub fn compact_in(
     dir: &Path,
     target_rows: u32,
-    fs: &SharedFs,
+    fs: SharedFs,
     retry: RetryPolicy,
 ) -> Result<CompactReport, StoreError> {
-    compact_with_opts(dir, target_rows, fs, retry, CompactOptions::default()).map(|(r, _)| r)
+    let path = dir.join(MANIFEST_FILE);
+    let bytes = fs.read(&path).map_err(|e| StoreError::io(&path, e))?;
+    let manifest = parse_manifest(&bytes).map_err(|e| e.with_path(&path))?;
+    compact_manifest(&fs, dir, retry, &manifest, target_rows, false).map(|(report, _)| report)
 }
 
-/// [`compact_with`] with explicit [`CompactOptions`]; also returns the
-/// manifest the rewrite committed (the live path needs it without a
-/// re-read).
-pub fn compact_with_opts(
-    dir: &Path,
-    target_rows: u32,
-    fs: &SharedFs,
-    retry: RetryPolicy,
-    opts: CompactOptions,
-) -> Result<(CompactReport, Manifest), StoreError> {
-    let target_rows = target_rows.max(1);
-    let manifest = crate::query::read_manifest(dir)?;
-    let segments_before = manifest.segments.len();
-    let generation = manifest.generation + u64::from(opts.bump_generation);
-    if opts.bump_generation {
-        // Journal the intent like any other generation-advancing commit:
-        // a crash before the seal recovers the previous generation.
-        durable::journal_begin(&**fs, dir, generation, target_rows)?;
-        fs.checkpoint(CommitStep::Begin)
-            .map_err(|e| io_at(dir, e))?;
-    }
-    let retire_to = opts
-        .retire_replaced
-        .then(|| retired_dir_for(dir, generation));
+/// Whether a shard's segment chain is already what compaction at
+/// `target_rows` would write. Canonical form also pins the page layout:
+/// rewriting re-encodes with [`DEFAULT_PAGE_ROWS`], so an oddly-paged
+/// chain is not canonical.
+fn is_canonical(chain: &[&SegmentMeta], target_rows: u32) -> bool {
+    chain.iter().enumerate().all(|(i, m)| {
+        m.seq == i as u32
+            && (i + 1 == chain.len() || m.rows == u64::from(target_rows))
+            && m.pages == m.rows.div_ceil(u64::from(DEFAULT_PAGE_ROWS))
+    }) && chain
+        .last()
+        .is_none_or(|m| m.rows <= u64::from(target_rows))
+}
 
+/// [`compact`] of the store `manifest` describes, through `fs`. Returns
+/// the manifest it committed, or `None` when the store was already
+/// canonical at `target_rows` and nothing was begun.
+pub(crate) fn compact_manifest(
+    fs: &SharedFs,
+    dir: &Path,
+    retry: RetryPolicy,
+    manifest: &Manifest,
+    target_rows: u32,
+    keep_retired: bool,
+) -> Result<(CompactReport, Option<Manifest>), StoreError> {
+    let target_rows = target_rows.max(1);
     let mut by_shard: Vec<Vec<&SegmentMeta>> = (0..LOGICAL_SHARDS).map(|_| Vec::new()).collect();
     for meta in &manifest.segments {
         let shard = meta.shard as usize;
@@ -662,91 +432,49 @@ pub fn compact_with_opts(
         }
         by_shard[shard].push(meta);
     }
-
-    let write_atomic = |file: &str, bytes: &[u8]| -> Result<(), StoreError> {
-        let tmp = dir.join(format!("{file}.tmp"));
-        let dest = dir.join(file);
-        run_retried(&retry, &tmp, || fs.write(&tmp, bytes)).0?;
-        run_retried(&retry, &tmp, || fs.sync(&tmp)).0?;
-        run_retried(&retry, &dest, || fs.rename(&tmp, &dest)).0
+    let (canonical, ragged): (Vec<_>, Vec<_>) = by_shard
+        .iter()
+        .partition(|chain| is_canonical(chain, target_rows));
+    let mut report = CompactReport {
+        shards_rewritten: ragged.len(),
+        segments_before: manifest.segments.len(),
+        segments_after: manifest.segments.len(),
     };
-
-    let mut new_metas: Vec<SegmentMeta> = Vec::new();
-    let mut shards_rewritten = 0usize;
-    for (shard, metas) in by_shard.iter().enumerate() {
-        // Canonical form also pins the page layout: rewriting re-encodes
-        // with DEFAULT_PAGE_ROWS, so a pageless (v1) or oddly-paged chain
-        // is "not canonical" and gets upgraded here.
-        let canonical = metas.iter().enumerate().all(|(i, m)| {
-            m.seq == i as u32
-                && (i + 1 == metas.len() || m.rows == u64::from(target_rows))
-                && m.pages == m.rows.div_ceil(u64::from(DEFAULT_PAGE_ROWS))
-        }) && metas
-            .last()
-            .is_none_or(|m| m.rows <= u64::from(target_rows));
-        if canonical {
-            new_metas.extend(metas.iter().map(|m| (*m).clone()));
-            continue;
-        }
-        shards_rewritten += 1;
-
-        // Decode the shard's full row stream in segment order.
-        let mut rows: Vec<StoredEvent> = Vec::new();
-        for meta in metas {
-            let path = dir.join(&meta.file);
-            let bytes = fs.read(&path).map_err(|e| io_at(&path, e))?;
-            let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(&path))?;
-            for i in 0..seg.len() {
-                rows.push(seg.event(i));
-            }
-        }
-        for meta in metas {
-            let path = dir.join(&meta.file);
-            match &retire_to {
-                Some(rdir) => {
-                    fs.create_dir_all(rdir).map_err(|e| io_at(rdir, e))?;
-                    let dest = rdir.join(&meta.file);
-                    fs.rename(&path, &dest).map_err(|e| io_at(&path, e))?;
-                }
-                None => fs.remove(&path).map_err(|e| io_at(&path, e))?,
-            }
-        }
-
-        // Re-encode into canonical segments.
-        let mut seq = 0u32;
-        let mut builder = SegmentBuilder::new(shard as u16);
-        for row in &rows {
-            builder.push(row);
-            if builder.rows() >= target_rows {
-                let file = segment_file_name(shard, seq);
-                let (bytes, meta) =
-                    std::mem::replace(&mut builder, SegmentBuilder::new(shard as u16))
-                        .encode(file.clone(), seq);
-                write_atomic(&file, &bytes)?;
-                new_metas.push(meta);
-                seq += 1;
-            }
-        }
-        if !builder.is_empty() {
-            let file = segment_file_name(shard, seq);
-            let (bytes, meta) = builder.encode(file.clone(), seq);
-            write_atomic(&file, &bytes)?;
-            new_metas.push(meta);
-        }
+    // The roll size is part of the manifest: a store canonical at another
+    // size still commits, so equal content ends in equal manifests.
+    if report.shards_rewritten == 0 && manifest.segment_rows == target_rows {
+        return Ok((report, None));
     }
 
-    let segments_after = new_metas.len();
-    let committed = durable::commit(
-        &**fs,
+    let txn = Txn::begin(
+        fs.clone(),
         dir,
-        build_manifest(new_metas, target_rows, manifest.records_read, generation),
+        retry,
+        manifest.generation + 1,
+        target_rows,
+        keep_retired,
     )?;
-    Ok((
-        CompactReport {
-            shards_rewritten,
-            segments_before,
-            segments_after,
-        },
-        committed,
-    ))
+    let kept = canonical
+        .iter()
+        .flat_map(|chain| chain.iter().map(|m| (*m).clone()));
+    let mut writer = StoreWriter::extending(Arc::new(txn), target_rows, kept.collect());
+    for chain in ragged {
+        // Decode the shard's full row stream in segment order, move the
+        // old chain aside, then let the writer re-cut the stream under
+        // the names the chain just gave up.
+        let mut rows: Vec<StoredEvent> = Vec::new();
+        for meta in chain {
+            let path = dir.join(&meta.file);
+            let bytes = fs.read(&path).map_err(|e| StoreError::io(&path, e))?;
+            let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(&path))?;
+            rows.extend((0..seg.len()).map(|i| seg.event(i)));
+        }
+        for meta in chain {
+            writer.txn.displace(&meta.file)?;
+        }
+        rows.iter().try_for_each(|row| writer.push(row))?;
+    }
+    let committed = writer.commit(manifest.records_read)?;
+    report.segments_after = committed.segments.len();
+    Ok((report, Some(committed)))
 }

@@ -65,8 +65,7 @@ use std::path::{Path, PathBuf};
 pub use cache::SegmentCacheStats;
 pub use durable::{CommitStep, QuarantinedFile, Recovery, JOURNAL_FILE, QUARANTINE_DIR};
 pub use ingest::{
-    compact, compact_with, compact_with_opts, ingest_mrt, CompactOptions, CompactReport,
-    IngestConfig, IngestOutcome, StoreSink, StoreWriter,
+    compact, compact_in, ingest_mrt, CompactReport, IngestConfig, IngestOutcome, StoreWriter,
 };
 pub use live::{LiveOptions, LiveStats, LiveStore, PinGuard, Snapshot};
 pub use plan::{PhysicalPlan, PlanKind, PruneReason, SegmentFate, SegmentStep};
@@ -95,11 +94,12 @@ pub const MANIFEST_FILE: &str = "MANIFEST.json";
 /// [`Query::day_window`] and every CLI `--day` flag.
 pub const DAY_MS: u64 = 86_400_000;
 
-/// Subdirectory where live mutations park segment files still referenced
-/// by pinned reader snapshots: `retired/g<generation>/<file>`, where the
-/// generation names the commit that replaced the file. Recovery ignores
-/// it; [`LiveStore`] deletes a generation's directory once no snapshot
-/// older than it remains pinned, and sweeps the whole tree at open.
+/// Subdirectory where a commit parks the segment files it replaces:
+/// `retired/g<generation>/<file>`, where the generation names the commit.
+/// Pinned reader snapshots read from it, and recovery restores from it
+/// when the commit never sealed. [`LiveStore`] deletes a generation's
+/// directory once no snapshot older than it remains pinned and sweeps the
+/// whole tree at open; an offline commit drops its own as it seals.
 pub const RETIRED_DIR: &str = "retired";
 
 /// Anything that can go wrong opening, writing, or querying a store.

@@ -38,12 +38,10 @@
 //! touched the file.
 
 use crate::cache::{SegmentCache, SegmentCacheStats};
-use crate::durable::{self, CommitStep};
-use crate::ingest::{
-    self, retired_dir_for, CompactOptions, CompactReport, IngestConfig, IngestOutcome, StoreWriter,
-};
+use crate::durable::{retired_dir_for, retired_generations, Txn};
+use crate::ingest::{self, CompactReport, IngestConfig, IngestOutcome, StoreWriter};
 use crate::query::{Manifest, OpenOptions, SegmentMeta, Store};
-use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, RETIRED_DIR};
+use crate::{StoreError, StoredEvent, RETIRED_DIR};
 use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use serde::Serialize;
@@ -299,24 +297,19 @@ impl LiveStore {
         let _w = lock(&self.write_lock, "write");
         let old = self.manifest();
         let generation = old.generation + 1;
-        durable::journal_begin(&*self.fs, &self.dir, generation, old.segment_rows)?;
-        self.fs
-            .checkpoint(CommitStep::Begin)
-            .map_err(|e| StoreError::io(&self.dir, e))?;
-        let mut writer =
-            StoreWriter::attach_with(&self.dir, old.segment_rows, self.fs.clone(), self.retry);
-        writer.set_generation(generation);
-        let mut seqs = vec![0u32; LOGICAL_SHARDS];
-        for meta in &old.segments {
-            let shard = meta.shard as usize;
-            seqs[shard] = seqs[shard].max(meta.seq + 1);
-        }
-        writer.start_at(seqs);
+        let txn = Txn::begin(
+            self.fs.clone(),
+            &self.dir,
+            self.retry,
+            generation,
+            old.segment_rows,
+            true,
+        )?;
+        let mut writer = StoreWriter::extending(Arc::new(txn), old.segment_rows, old.segments);
         for row in rows {
             writer.push(row)?;
         }
-        let manifest = writer.commit_with_extra(old.segments, old.records_read)?;
-        *lock(&self.manifest, "manifest") = manifest;
+        *lock(&self.manifest, "manifest") = writer.commit(old.records_read)?;
         {
             let mut c = lock(&self.counters, "counters");
             c.appends += 1;
@@ -327,16 +320,22 @@ impl LiveStore {
     }
 
     /// Rewrites ragged shard chains into canonical form as a new
-    /// generation, retiring replaced files for pinned readers.
+    /// generation, retiring replaced files for pinned readers. A store
+    /// already canonical at `target_rows` is left as it is, generation
+    /// included.
     pub fn compact(&self, target_rows: u32) -> Result<CompactReport, StoreError> {
         let _w = lock(&self.write_lock, "write");
-        let opts = CompactOptions {
-            bump_generation: true,
-            retire_replaced: true,
-        };
-        let (report, manifest) =
-            ingest::compact_with_opts(&self.dir, target_rows, &self.fs, self.retry, opts)?;
-        self.publish_retiring(manifest);
+        let (report, committed) = ingest::compact_manifest(
+            &self.fs,
+            &self.dir,
+            self.retry,
+            &self.manifest(),
+            target_rows,
+            true,
+        )?;
+        if let Some(manifest) = committed {
+            self.publish_retiring(manifest);
+        }
         lock(&self.counters, "counters").compactions += 1;
         self.gc();
         Ok(report)
@@ -356,9 +355,8 @@ impl LiveStore {
             .with_jobs(self.jobs)
             .with_segment_rows(segment_rows)
             .with_fs(self.fs.clone())
-            .with_retry(self.retry)
-            .with_retire_replaced(true);
-        let outcome = ingest::ingest_mrt(&self.dir, reader, base_time, &cfg)?;
+            .with_retry(self.retry);
+        let outcome = ingest::ingest_mrt_in(&self.dir, reader, base_time, &cfg, true)?;
         self.publish_retiring(outcome.manifest.clone());
         lock(&self.counters, "counters").ingests += 1;
         self.gc();
@@ -393,18 +391,11 @@ impl LiveStore {
     /// removed.
     pub fn gc(&self) -> u64 {
         let floor = lock(&self.pins, "pin table").counts.keys().next().copied();
-        let root = self.dir.join(RETIRED_DIR);
-        let Ok(names) = self.fs.list(&root) else {
-            return 0;
-        };
         let mut removed = 0u64;
-        for name in names {
-            let Some(g) = name.strip_prefix('g').and_then(|s| s.parse::<u64>().ok()) else {
-                continue;
-            };
+        for (g, gen_dir) in retired_generations(&*self.fs, &self.dir) {
             // retired/g<g> holds files replaced *by* commit g — only
             // pins strictly older than g still read them.
-            if floor.is_none_or(|p| p >= g) && self.fs.remove_dir(&root.join(&name)).is_ok() {
+            if floor.is_none_or(|p| p >= g) && self.fs.remove_dir(&gen_dir).is_ok() {
                 removed += 1;
             }
         }
@@ -423,19 +414,7 @@ impl LiveStore {
                 table.total,
             )
         };
-        let retired_dirs = self
-            .fs
-            .list(&self.dir.join(RETIRED_DIR))
-            .map(|names| {
-                names
-                    .iter()
-                    .filter(|n| {
-                        n.strip_prefix('g')
-                            .is_some_and(|s| s.parse::<u64>().is_ok())
-                    })
-                    .count() as u64
-            })
-            .unwrap_or(0);
+        let retired_dirs = retired_generations(&*self.fs, &self.dir).len() as u64;
         let c = lock(&self.counters, "counters");
         LiveStats {
             generation: self.generation(),

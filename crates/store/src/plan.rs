@@ -55,18 +55,6 @@ pub enum PlanKind {
     },
 }
 
-/// What a zone map may answer without decoding rows, per [`PlanKind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ZoneMode {
-    /// Rows must be materialised (still pruned, never zone-answered).
-    None,
-    /// Class/cause count vectors answer the query.
-    Counts,
-    /// The size-column sum answers the query (needs stores that record
-    /// it; older manifests/pages fall back to scanning).
-    Sum,
-}
-
 impl PlanKind {
     /// Short label for explain output.
     #[must_use]
@@ -119,15 +107,14 @@ impl PlanKind {
         cols
     }
 
-    pub(crate) fn zone_mode(&self) -> ZoneMode {
-        match self {
-            PlanKind::CountByClass | PlanKind::CountByCause => ZoneMode::Counts,
-            PlanKind::SumBytes => ZoneMode::Sum,
-            PlanKind::Stream
-            | PlanKind::CountByPeer
-            | PlanKind::CountByPrefix
-            | PlanKind::TimeSeries { .. } => ZoneMode::None,
-        }
+    /// Whether zone maps alone — class/cause count vectors, the
+    /// size-column sum — can answer for the rows they cover. The other
+    /// kinds need rows materialised (still pruned, never zone-answered).
+    pub(crate) fn zone_answered(&self) -> bool {
+        matches!(
+            self,
+            PlanKind::CountByClass | PlanKind::CountByCause | PlanKind::SumBytes
+        )
     }
 }
 
@@ -187,7 +174,7 @@ pub struct SegmentStep {
     pub rows: u64,
     /// Encoded file size in bytes.
     pub bytes: u64,
-    /// Zone-map pages in the segment (0 for pageless v1 segments).
+    /// Zone-map pages in the segment.
     pub pages: u64,
     /// The compile-time fate.
     pub fate: SegmentFate,

@@ -17,12 +17,12 @@
 
 use crate::cache::{SegmentCache, SegmentCacheStats};
 use crate::durable::{self, Recovery};
-use crate::plan::{PhysicalPlan, PlanKind, PruneReason, SegmentFate, SegmentStep, ZoneMode};
+use crate::plan::{PhysicalPlan, PlanKind, PruneReason, SegmentFate, SegmentStep};
 use crate::segment::{
     bloom_contains, peer_bloom_hash, prefix_bloom_hash, ColumnSet, PageBuf, PageMeta, SegmentData,
     SegmentFile, BLOOM_WORDS,
 };
-use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, MANIFEST_FILE};
+use crate::{StoreError, StoredEvent, LOGICAL_SHARDS};
 use iri_bgp::types::{Asn, Prefix};
 use iri_core::fxhash::FxHashMap;
 use iri_core::taxonomy::UpdateClass;
@@ -30,7 +30,6 @@ use iri_faults::{real_fs, SharedFs};
 use iri_obs::cause::Cause;
 use iri_obs::registry::{CounterId, HistogramId, Registry};
 use serde::{Deserialize, Serialize};
-use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -70,15 +69,13 @@ pub struct SegmentMeta {
     pub peer_bloom: [u64; BLOOM_WORDS],
     /// 256-bit membership bitmap over prefixes.
     pub prefix_bloom: [u64; BLOOM_WORDS],
-    /// Zone-map pages in the segment's directory. 0 for v1 (pageless)
-    /// segments and manifests written before pages existed.
+    /// Zone-map pages in the segment's directory.
     #[serde(default)]
     pub pages: u64,
-    /// Sum of the size column over the segment, `None` in manifests from
-    /// before it was recorded — which gates answering [`Store::sum_bytes`]
-    /// from zone maps alone.
+    /// Sum of the size column over the segment: what lets zone maps
+    /// alone answer [`Store::sum_bytes`].
     #[serde(default)]
-    pub size_sum: Option<u64>,
+    pub size_sum: u64,
 }
 
 /// The store's root metadata, `MANIFEST.json`.
@@ -86,7 +83,7 @@ pub struct SegmentMeta {
 pub struct Manifest {
     /// Manifest format version.
     pub version: u32,
-    /// Commit generation: bumped by every ingest, preserved by compact.
+    /// Commit generation: bumped by every commit that changes a file.
     /// Recovery serves the highest generation it can prove durable.
     /// Absent in pre-journal stores, which read as generation 0.
     #[serde(default)]
@@ -131,14 +128,6 @@ pub fn parse_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
         ));
     }
     Ok(manifest)
-}
-
-/// Reads and validates `MANIFEST.json` from a store directory, with no
-/// recovery pass. Prefer [`Store::open`], which validates segments too.
-pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    let path = dir.join(MANIFEST_FILE);
-    let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-    parse_manifest(&bytes).map_err(|e| e.with_path(&path))
 }
 
 /// Sorts segment entries canonically and derives store-level totals:
@@ -416,8 +405,7 @@ pub struct ScanStats {
     /// from older servers (reads as 0).
     #[serde(default)]
     pub scan_us: u64,
-    /// Zone-map pages across every paged segment touched by the query
-    /// (pageless v1 segments contribute nothing to page accounting).
+    /// Zone-map pages across every segment touched by the query.
     #[serde(default)]
     pub pages_total: u64,
     /// Pages eliminated by page zone maps without decoding.
@@ -441,19 +429,14 @@ pub struct ScanStats {
 }
 
 impl ScanStats {
-    /// Fraction of the archive the query never decoded (pruned or
-    /// answered from zone maps), in `[0, 1]`. Page-granular when the
-    /// store carries page directories; falls back to whole-segment
-    /// accounting against pre-page stores.
+    /// Fraction of the archive's pages the query never decoded (pruned
+    /// or answered from zone maps), in `[0, 1]`.
     #[must_use]
     pub fn prune_ratio(&self) -> f64 {
-        if self.pages_total > 0 {
-            return (self.pages_pruned + self.pages_zone_answered) as f64 / self.pages_total as f64;
-        }
-        if self.segments_total == 0 {
+        if self.pages_total == 0 {
             return 0.0;
         }
-        (self.segments_pruned + self.segments_zone_answered) as f64 / self.segments_total as f64
+        (self.pages_pruned + self.pages_zone_answered) as f64 / self.pages_total as f64
     }
 
     /// Folds one segment's scan delta into the query totals. The
@@ -493,7 +476,7 @@ pub(crate) struct ZoneCounts {
     pub class_counts: [u64; UpdateClass::COUNT],
     /// Per-cause rows, indexed by [`Cause::index`].
     pub cause_counts: [u64; Cause::COUNT],
-    /// Size-column sum (only populated under [`ZoneMode::Sum`]).
+    /// Size-column sum.
     pub size_sum: u64,
 }
 
@@ -506,7 +489,7 @@ impl ZoneCounts {
         for (acc, n) in self.cause_counts.iter_mut().zip(meta.cause_counts) {
             *acc += n;
         }
-        self.size_sum += meta.size_sum.unwrap_or(0);
+        self.size_sum += meta.size_sum;
     }
 
     fn add_page(&mut self, page: &PageMeta) {
@@ -517,7 +500,7 @@ impl ZoneCounts {
         for (acc, n) in self.cause_counts.iter_mut().zip(page.cause_counts) {
             *acc += n;
         }
-        self.size_sum += page.size_sum.unwrap_or(0);
+        self.size_sum += page.size_sum;
     }
 
     fn merge(&mut self, other: &ZoneCounts) {
@@ -533,23 +516,9 @@ impl ZoneCounts {
 }
 
 /// Whether zone maps fully inside the time window may answer for their
-/// rows without decoding, given the plan's zone mode. `size_sum` is the
-/// zone's size-column sum if it records one (sums need it; pre-page
-/// manifests and synthesized v1 pages don't carry it).
-fn zone_answerable(
-    query: &Query,
-    mode: ZoneMode,
-    covers_time: bool,
-    size_sum: Option<u64>,
-) -> bool {
-    if query.has_row_predicates() || !covers_time {
-        return false;
-    }
-    match mode {
-        ZoneMode::None => false,
-        ZoneMode::Counts => true,
-        ZoneMode::Sum => size_sum.is_some(),
-    }
+/// rows without decoding, given whether the plan's kind lets them.
+fn zone_answerable(query: &Query, zones: bool, covers_time: bool) -> bool {
+    zones && covers_time && !query.has_row_predicates()
 }
 
 // ---------------------------------------------------------------------
@@ -623,20 +592,10 @@ impl Source<'_> {
     /// ascending generation order. Every candidate is validated against
     /// the pinned manifest entry before being served.
     fn load_retired(&self, meta: &SegmentMeta, pinned: u64, read: &mut u64) -> Option<SegmentFile> {
-        let root = self.dir.join(crate::RETIRED_DIR);
-        let names = self.fs.list(&root).ok()?;
-        let mut gens: Vec<(u64, String)> = names
-            .into_iter()
-            .filter_map(|n| {
-                let g = n.strip_prefix('g')?.parse::<u64>().ok()?;
-                (g > pinned).then_some((g, n))
-            })
-            .collect();
-        gens.sort();
-        gens.into_iter().find_map(|(_, name)| {
-            self.read(&root.join(name).join(&meta.file), meta, read)
-                .ok()
-        })
+        durable::retired_generations(&**self.fs, self.dir)
+            .iter()
+            .filter(|(g, _)| *g > pinned)
+            .find_map(|(_, gen_dir)| self.read(&gen_dir.join(&meta.file), meta, read).ok())
     }
 }
 
@@ -905,7 +864,7 @@ fn scan_segment(
     src: Source<'_>,
     meta: &SegmentMeta,
     query: &Query,
-    mode: ZoneMode,
+    zones: bool,
     fold: ColumnSet,
     buf: &mut PageBuf,
     sink: &mut dyn Sink,
@@ -928,7 +887,7 @@ fn scan_segment(
             d.stats.pages_pruned += 1;
             continue;
         }
-        if zone_answerable(query, mode, query.covers_page_time(page), page.size_sum) {
+        if zone_answerable(query, zones, query.covers_page_time(page)) {
             d.stats.pages_zone_answered += 1;
             d.stats.rows_matched += u64::from(page.rows);
             d.zone.add_page(page);
@@ -1027,7 +986,7 @@ fn scan_segment_eager(
 struct Run<'a> {
     src: Source<'a>,
     query: &'a Query,
-    mode: ZoneMode,
+    zones: bool,
     /// The columns the sink folds over.
     fold: ColumnSet,
     full_scan: bool,
@@ -1044,7 +1003,7 @@ impl Run<'_> {
         if self.full_scan {
             scan_segment_eager(self.src, meta, self.query, sink)
         } else {
-            scan_segment(self.src, meta, self.query, self.mode, self.fold, buf, sink)
+            scan_segment(self.src, meta, self.query, self.zones, self.fold, buf, sink)
         }
     }
 
@@ -1359,10 +1318,9 @@ impl Store {
         &self.manifest
     }
 
-    /// The commit generation this handle serves. Bumped by every ingest
-    /// and live mutation; preserved by offline [`crate::compact`]. The
-    /// serving layer's snapshot-isolation and cache keys hang off this
-    /// number.
+    /// The commit generation this handle serves, bumped by every commit
+    /// that changes a file. The serving layer's snapshot-isolation and
+    /// cache keys hang off this number.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.manifest.generation
@@ -1412,7 +1370,7 @@ impl Store {
     /// (or the aggregation entry points, which compile internally).
     #[must_use]
     pub fn plan(&self, query: &Query, kind: PlanKind) -> PhysicalPlan {
-        let mode = kind.zone_mode();
+        let zones = kind.zone_answered();
         let steps = self
             .manifest
             .segments
@@ -1422,7 +1380,7 @@ impl Store {
                     SegmentFate::Scan
                 } else if let Some(reason) = query.prune_reason(meta) {
                     SegmentFate::Pruned(reason)
-                } else if zone_answerable(query, mode, query.covers_time(meta), meta.size_sum) {
+                } else if zone_answerable(query, zones, query.covers_time(meta)) {
                     SegmentFate::ZoneAnswered
                 } else {
                     SegmentFate::Scan
@@ -1486,11 +1444,7 @@ impl Store {
                 "plan does not match this store's manifest",
             ));
         }
-        let mode = if plan.full_scan {
-            ZoneMode::None
-        } else {
-            plan.kind.zone_mode()
-        };
+        let zones = !plan.full_scan && plan.kind.zone_answered();
         let run = Run {
             src: Source {
                 fs: &self.fs,
@@ -1499,7 +1453,7 @@ impl Store {
                 cache: &self.cache,
             },
             query: &plan.query,
-            mode,
+            zones,
             fold: sink.columns(plan.kind),
             full_scan: self.full_scan,
             strict: self.strict,
@@ -1713,7 +1667,7 @@ mod tests {
             peer_bloom: [1, 0, 0, 2],
             prefix_bloom: [0, 4, 0, 8],
             pages: 1,
-            size_sum: Some(4_321),
+            size_sum: 4_321,
         };
         let manifest = Manifest {
             version: MANIFEST_VERSION,
@@ -1747,7 +1701,7 @@ mod tests {
             peer_bloom: [u64::MAX; 4],
             prefix_bloom: [u64::MAX; 4],
             pages: 0,
-            size_sum: None,
+            size_sum: 0,
         };
         // Time window disjoint → pruned.
         assert!(Query::default().time_range_ms(0, 1_000).prunes(&seg));
@@ -1771,10 +1725,10 @@ mod tests {
     #[test]
     fn prune_ratio_counts_zone_answers() {
         let stats = ScanStats {
-            segments_total: 10,
-            segments_pruned: 6,
-            segments_zone_answered: 2,
-            segments_scanned: 2,
+            pages_total: 10,
+            pages_pruned: 6,
+            pages_zone_answered: 2,
+            pages_scanned: 2,
             ..ScanStats::default()
         };
         assert!((stats.prune_ratio() - 0.8).abs() < 1e-12);

@@ -15,7 +15,7 @@
 //! footer (zone maps) : min/max time u64, class counts 7×u64, cause
 //!                      counts 9×u64, policy count u64, peer bloom 4×u64,
 //!                      prefix bloom 4×u64
-//! page directory     : (v2 only) page_rows u32, n_pages u32, then per
+//! page directory     : page_rows u32, n_pages u32, then per
 //!                      page: start_row u32, rows u32, prev_time u64,
 //!                      min/max time u64, size sum u64, 6 × column byte
 //!                      offset u32, class counts 7×u64, cause counts
@@ -29,15 +29,14 @@
 //!
 //! ## Versioning
 //!
-//! Version 2 appends a **page directory** after the v1 footer: sub-segment
-//! zone maps every [`DEFAULT_PAGE_ROWS`] rows (per-page min/max time,
-//! class/cause counts, membership bitmaps, byte offsets into every
-//! column, and the delta-decode restart state `prev_time`). Readers accept
-//! both versions: the eager [`SegmentData::decode`] reads columns
-//! sequentially and never consumes the footer, so the appended directory
-//! is transparently ignored; the lazy [`SegmentFile`] reader synthesizes
-//! a single whole-segment page from the v1 footer, making pageless
-//! segments just the degenerate one-page case. Writers always emit v2.
+//! The **page directory** after the footer holds sub-segment zone maps
+//! every [`DEFAULT_PAGE_ROWS`] rows (per-page min/max time, class/cause
+//! counts, membership bitmaps, byte offsets into every column, and the
+//! delta-decode restart state `prev_time`). It arrived with version 2,
+//! the only version read or written: the pageless version 1 fails typed
+//! as `unsupported segment version 1`. The eager [`SegmentData::decode`]
+//! reads columns sequentially and never consumes the footer or the
+//! directory; the lazy [`SegmentFile`] reader prunes and decodes by page.
 
 use crate::{splitmix64, StoreError, StoredEvent};
 use iri_bgp::types::Prefix;
@@ -61,11 +60,8 @@ fn bad(what: impl Into<String>) -> StoreError {
 /// Segment file magic.
 pub const MAGIC: [u8; 4] = *b"IRSG";
 
-/// Current segment format version (v2: paged zone maps).
+/// The segment format version (2: paged zone maps).
 pub const SEGMENT_VERSION: u16 = 2;
-
-/// Oldest segment format version readers still accept.
-pub const MIN_SEGMENT_VERSION: u16 = 1;
 
 /// Default rows per zone-map page. Must be a multiple of 8 so every page
 /// starts on a policy-bitmap byte boundary; [`SegmentBuilder::with_page_rows`]
@@ -222,6 +218,33 @@ fn checksum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// The checks both readers start with — length, the trailing checksum
+/// over every preceding byte, magic, version — and the rest of the
+/// header: a cursor over the checksummed body just past it, the shard,
+/// and the row count.
+fn open_image(bytes: &[u8]) -> Result<(Cur<'_>, u16, u32), StoreError> {
+    if bytes.len() < 12 + 8 {
+        return Err(bad("segment shorter than header"));
+    }
+    let (body, tail) = bytes.split_at(bytes.len() - 8);
+    let mut sum_bytes = [0u8; 8];
+    sum_bytes.copy_from_slice(tail);
+    if checksum(body) != u64::from_le_bytes(sum_bytes) {
+        return Err(bad("segment checksum mismatch"));
+    }
+    let mut cur = Cur::new(body);
+    if cur.take(4, "magic")? != MAGIC {
+        return Err(bad("bad segment magic"));
+    }
+    let version = cur.u16("version")?;
+    if version != SEGMENT_VERSION {
+        return Err(bad(format!("unsupported segment version {version}")));
+    }
+    let shard = cur.u16("shard")?;
+    let rows = cur.u32("row count")?;
+    Ok((cur, shard, rows))
+}
+
 /// One zone-map page: the sub-segment pruning unit. Everything a scan
 /// needs to decide a page's fate — and to start decoding mid-segment —
 /// without touching the rows before it.
@@ -238,9 +261,8 @@ pub struct PageMeta {
     pub min_time: u64,
     /// Largest event time in the page (ms).
     pub max_time: u64,
-    /// Sum of the size column over the page; `None` on pages synthesized
-    /// from a v1 footer, which does not record it.
-    pub size_sum: Option<u64>,
+    /// Sum of the size column over the page.
+    pub size_sum: u64,
     /// Byte offset of this page's first value in each of the six columns.
     pub col_off: [u32; 6],
     /// Rows per taxonomy class, indexed by [`UpdateClass::index`].
@@ -365,7 +387,7 @@ impl SegmentBuilder {
                 prev_time: p.prev_time,
                 min_time: p.min_time,
                 max_time: p.max_time,
-                size_sum: Some(p.size_sum),
+                size_sum: p.size_sum,
                 col_off: p.col_off,
                 class_counts: p.class_counts,
                 cause_counts: p.cause_counts,
@@ -462,24 +484,7 @@ impl SegmentBuilder {
     /// Encodes the segment file image and its manifest entry. Consumes the
     /// builder: segments are immutable once encoded.
     #[must_use]
-    pub fn encode(self, file: String, seq: u32) -> (Vec<u8>, crate::query::SegmentMeta) {
-        self.encode_impl(file, seq, true)
-    }
-
-    /// Encodes in the v1 (pageless) format. Exists so tests can produce
-    /// the stores old writers left behind; not part of the public API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn encode_v1(self, file: String, seq: u32) -> (Vec<u8>, crate::query::SegmentMeta) {
-        self.encode_impl(file, seq, false)
-    }
-
-    fn encode_impl(
-        mut self,
-        file: String,
-        seq: u32,
-        v2: bool,
-    ) -> (Vec<u8>, crate::query::SegmentMeta) {
+    pub fn encode(mut self, file: String, seq: u32) -> (Vec<u8>, crate::query::SegmentMeta) {
         self.seal_page();
         let mut buf = Vec::with_capacity(
             64 + self.col_time.len()
@@ -492,7 +497,7 @@ impl SegmentBuilder {
                 + self.prefix_dict.len() * 5,
         );
         buf.extend_from_slice(&MAGIC);
-        put_u16(&mut buf, if v2 { SEGMENT_VERSION } else { 1 });
+        put_u16(&mut buf, SEGMENT_VERSION);
         put_u16(&mut buf, self.shard);
         put_u32(&mut buf, self.rows);
 
@@ -507,24 +512,18 @@ impl SegmentBuilder {
             buf.push(p.len());
         }
 
-        for col in [
+        let cols = [
             &self.col_time,
             &self.col_peer,
             &self.col_prefix,
             &self.col_cc,
             &self.col_policy,
             &self.col_size,
-        ] {
+        ];
+        for col in cols {
             put_u32(&mut buf, col.len() as u32);
         }
-        for col in [
-            &self.col_time,
-            &self.col_peer,
-            &self.col_prefix,
-            &self.col_cc,
-            &self.col_policy,
-            &self.col_size,
-        ] {
+        for col in cols {
             buf.extend_from_slice(col);
         }
 
@@ -544,31 +543,29 @@ impl SegmentBuilder {
         for w in self.prefix_bloom {
             put_u64(&mut buf, w);
         }
-        if v2 {
-            put_u32(&mut buf, self.page_rows);
-            put_u32(&mut buf, self.pages.len() as u32);
-            for p in &self.pages {
-                put_u32(&mut buf, p.start_row);
-                put_u32(&mut buf, p.rows);
-                put_u64(&mut buf, p.prev_time);
-                put_u64(&mut buf, p.min_time);
-                put_u64(&mut buf, p.max_time);
-                put_u64(&mut buf, p.size_sum.unwrap_or(0));
-                for off in p.col_off {
-                    put_u32(&mut buf, off);
-                }
-                for c in p.class_counts {
-                    put_u64(&mut buf, c);
-                }
-                for c in p.cause_counts {
-                    put_u64(&mut buf, c);
-                }
-                for w in p.peer_bloom {
-                    put_u64(&mut buf, w);
-                }
-                for w in p.prefix_bloom {
-                    put_u64(&mut buf, w);
-                }
+        put_u32(&mut buf, self.page_rows);
+        put_u32(&mut buf, self.pages.len() as u32);
+        for p in &self.pages {
+            put_u32(&mut buf, p.start_row);
+            put_u32(&mut buf, p.rows);
+            put_u64(&mut buf, p.prev_time);
+            put_u64(&mut buf, p.min_time);
+            put_u64(&mut buf, p.max_time);
+            put_u64(&mut buf, p.size_sum);
+            for off in p.col_off {
+                put_u32(&mut buf, off);
+            }
+            for c in p.class_counts {
+                put_u64(&mut buf, c);
+            }
+            for c in p.cause_counts {
+                put_u64(&mut buf, c);
+            }
+            for w in p.peer_bloom {
+                put_u64(&mut buf, w);
+            }
+            for w in p.prefix_bloom {
+                put_u64(&mut buf, w);
             }
         }
         let sum = checksum(&buf);
@@ -587,8 +584,8 @@ impl SegmentBuilder {
             policy_changes: self.policy_changes,
             peer_bloom: self.peer_bloom,
             prefix_bloom: self.prefix_bloom,
-            pages: if v2 { self.pages.len() as u64 } else { 0 },
-            size_sum: v2.then_some(self.size_sum),
+            pages: self.pages.len() as u64,
+            size_sum: self.size_sum,
         };
         (buf, meta)
     }
@@ -653,26 +650,8 @@ impl SegmentData {
 
     /// Decodes and validates a segment file image.
     pub fn decode(bytes: &[u8]) -> Result<SegmentData, StoreError> {
-        if bytes.len() < 8 + 8 {
-            return Err(bad("segment shorter than header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(tail);
-        if checksum(body) != u64::from_le_bytes(sum_bytes) {
-            return Err(bad("segment checksum mismatch"));
-        }
-
-        let mut cur = Cur::new(body);
-        if cur.take(4, "magic")? != MAGIC {
-            return Err(bad("bad segment magic"));
-        }
-        let version = cur.u16("version")?;
-        if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-            return Err(bad(format!("unsupported segment version {version}")));
-        }
-        let shard = cur.u16("shard")?;
-        let rows = cur.u32("row count")? as usize;
+        let (mut cur, shard, rows) = open_image(bytes)?;
+        let (body, rows) = (cur.buf, rows as usize);
 
         let n_peers = cur.u32("peer dict size")? as usize;
         if (n_peers > rows && rows > 0) || n_peers > body.len() {
@@ -949,8 +928,7 @@ fn decode_varints<T: Copy + Default>(
 }
 
 /// The segment-level zone maps as the file's footer records them: what
-/// [`SegmentFile::check_meta`] holds against the manifest entry, and
-/// the synthesized page of a v1 file.
+/// [`SegmentFile::check_meta`] holds against the manifest entry.
 #[derive(Debug)]
 struct Footer {
     min_time: u64,
@@ -969,10 +947,6 @@ struct Footer {
 /// segment costs its file bytes plus the page directory. Scans consult
 /// [`SegmentFile::pages`] to prune or zone-answer pages, then
 /// [`SegmentFile::decode_page`] only the survivors.
-///
-/// Accepts both format versions: a v1 file yields one synthesized page
-/// covering the whole segment (exact, since its zone data *is* the
-/// segment footer), with `size_sum` unknown.
 #[derive(Debug)]
 pub struct SegmentFile {
     bytes: Vec<u8>,
@@ -987,7 +961,6 @@ pub struct SegmentFile {
     col_start: [usize; 6],
     col_len: [usize; 6],
     footer: Footer,
-    paged: bool,
     pages: Vec<PageMeta>,
 }
 
@@ -996,26 +969,8 @@ impl SegmentFile {
     /// column. Cost is one hash pass plus a validating walk over the
     /// dictionaries and the page directory.
     pub fn parse(bytes: Vec<u8>) -> Result<SegmentFile, StoreError> {
-        if bytes.len() < 12 + 8 {
-            return Err(bad("segment shorter than header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let mut sum_bytes = [0u8; 8];
-        sum_bytes.copy_from_slice(tail);
-        if checksum(body) != u64::from_le_bytes(sum_bytes) {
-            return Err(bad("segment checksum mismatch"));
-        }
-
-        let mut cur = Cur::new(body);
-        if cur.take(4, "magic")? != MAGIC {
-            return Err(bad("bad segment magic"));
-        }
-        let version = cur.u16("version")?;
-        if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-            return Err(bad(format!("unsupported segment version {version}")));
-        }
-        let shard = cur.u16("shard")?;
-        let rows = cur.u32("row count")?;
+        let (mut cur, shard, rows) = open_image(&bytes)?;
+        let body = cur.buf;
 
         let n_peers = cur.u32("peer dict size")?;
         if (n_peers > rows && rows > 0) || n_peers as usize > body.len() {
@@ -1066,94 +1021,72 @@ impl SegmentFile {
             *w = cur.u64("footer prefix bloom")?;
         }
 
-        let paged = version >= 2;
-        let pages = if paged {
-            let _page_rows = cur.u32("page size")?;
-            let n_pages = cur.u32("page count")? as usize;
-            if n_pages > rows as usize || n_pages > body.len() {
-                return Err(bad("page directory larger than rows"));
+        let _page_rows = cur.u32("page size")?;
+        let n_pages = cur.u32("page count")? as usize;
+        if n_pages > rows as usize || n_pages > body.len() {
+            return Err(bad("page directory larger than rows"));
+        }
+        if rows > 0 && n_pages == 0 {
+            return Err(bad("non-empty segment without pages"));
+        }
+        let mut pages = Vec::with_capacity(n_pages);
+        let mut expect_start = 0u32;
+        for _ in 0..n_pages {
+            let start_row = cur.u32("page start row")?;
+            let page_rows = cur.u32("page rows")?;
+            if start_row != expect_start || page_rows == 0 {
+                return Err(bad("page directory rows not contiguous"));
             }
-            if rows > 0 && n_pages == 0 {
-                return Err(bad("non-empty v2 segment without pages"));
+            if !start_row.is_multiple_of(8) {
+                return Err(bad("page start not on a bitmap byte boundary"));
             }
-            let mut pages = Vec::with_capacity(n_pages);
-            let mut expect_start = 0u32;
-            for _ in 0..n_pages {
-                let start_row = cur.u32("page start row")?;
-                let page_rows = cur.u32("page rows")?;
-                if start_row != expect_start || page_rows == 0 {
-                    return Err(bad("page directory rows not contiguous"));
+            expect_start = expect_start
+                .checked_add(page_rows)
+                .ok_or_else(|| bad("page row count overflows"))?;
+            let prev_time = cur.u64("page prev time")?;
+            let min_time = cur.u64("page min time")?;
+            let max_time = cur.u64("page max time")?;
+            let size_sum = cur.u64("page size sum")?;
+            let mut col_off = [0u32; 6];
+            for (i, off) in col_off.iter_mut().enumerate() {
+                *off = cur.u32("page column offset")?;
+                if *off as usize > col_len[i] {
+                    return Err(bad("page column offset past column end"));
                 }
-                if !start_row.is_multiple_of(8) {
-                    return Err(bad("page start not on a bitmap byte boundary"));
-                }
-                expect_start = expect_start
-                    .checked_add(page_rows)
-                    .ok_or_else(|| bad("page row count overflows"))?;
-                let prev_time = cur.u64("page prev time")?;
-                let min_time = cur.u64("page min time")?;
-                let max_time = cur.u64("page max time")?;
-                let size_sum = cur.u64("page size sum")?;
-                let mut col_off = [0u32; 6];
-                for (i, off) in col_off.iter_mut().enumerate() {
-                    *off = cur.u32("page column offset")?;
-                    if *off as usize > col_len[i] {
-                        return Err(bad("page column offset past column end"));
-                    }
-                }
-                let mut p_class = [0u64; UpdateClass::COUNT];
-                for c in &mut p_class {
-                    *c = cur.u64("page class count")?;
-                }
-                let mut p_cause = [0u64; Cause::COUNT];
-                for c in &mut p_cause {
-                    *c = cur.u64("page cause count")?;
-                }
-                let mut p_peer = [0u64; BLOOM_WORDS];
-                for w in &mut p_peer {
-                    *w = cur.u64("page peer bloom")?;
-                }
-                let mut p_prefix = [0u64; BLOOM_WORDS];
-                for w in &mut p_prefix {
-                    *w = cur.u64("page prefix bloom")?;
-                }
-                pages.push(PageMeta {
-                    start_row,
-                    rows: page_rows,
-                    prev_time,
-                    min_time,
-                    max_time,
-                    size_sum: Some(size_sum),
-                    col_off,
-                    class_counts: p_class,
-                    cause_counts: p_cause,
-                    peer_bloom: p_peer,
-                    prefix_bloom: p_prefix,
-                });
             }
-            if expect_start != rows {
-                return Err(bad("page directory does not cover every row"));
+            let mut p_class = [0u64; UpdateClass::COUNT];
+            for c in &mut p_class {
+                *c = cur.u64("page class count")?;
             }
-            pages
-        } else if rows > 0 {
-            // v1: one whole-segment page from the footer. Exact — with a
-            // single page, page zone data and segment zone data coincide.
-            vec![PageMeta {
-                start_row: 0,
-                rows,
-                prev_time: 0,
-                min_time: footer.min_time,
-                max_time: footer.max_time,
-                size_sum: None,
-                col_off: [0; 6],
-                class_counts: footer.class_counts,
-                cause_counts: footer.cause_counts,
-                peer_bloom: footer.peer_bloom,
-                prefix_bloom: footer.prefix_bloom,
-            }]
-        } else {
-            Vec::new()
-        };
+            let mut p_cause = [0u64; Cause::COUNT];
+            for c in &mut p_cause {
+                *c = cur.u64("page cause count")?;
+            }
+            let mut p_peer = [0u64; BLOOM_WORDS];
+            for w in &mut p_peer {
+                *w = cur.u64("page peer bloom")?;
+            }
+            let mut p_prefix = [0u64; BLOOM_WORDS];
+            for w in &mut p_prefix {
+                *w = cur.u64("page prefix bloom")?;
+            }
+            pages.push(PageMeta {
+                start_row,
+                rows: page_rows,
+                prev_time,
+                min_time,
+                max_time,
+                size_sum,
+                col_off,
+                class_counts: p_class,
+                cause_counts: p_cause,
+                peer_bloom: p_peer,
+                prefix_bloom: p_prefix,
+            });
+        }
+        if expect_start != rows {
+            return Err(bad("page directory does not cover every row"));
+        }
         if cur.pos != body.len() {
             return Err(bad("trailing bytes after segment payload"));
         }
@@ -1169,7 +1102,6 @@ impl SegmentFile {
             col_start,
             col_len,
             footer,
-            paged,
             pages,
         })
     }
@@ -1195,12 +1127,7 @@ impl SegmentFile {
                 "belongs to shard {}, manifest says {}",
                 self.shard, meta.shard
             )
-        } else if (if self.paged {
-            self.pages.len() as u64
-        } else {
-            0
-        }) != meta.pages
-        {
+        } else if self.pages.len() as u64 != meta.pages {
             format!(
                 "has {} pages, manifest says {}",
                 self.pages.len(),
@@ -1212,9 +1139,7 @@ impl SegmentFile {
             || f.policy_changes != meta.policy_changes
             || f.peer_bloom != meta.peer_bloom
             || f.prefix_bloom != meta.prefix_bloom
-            || meta.size_sum.is_some_and(|sum| {
-                Some(sum) != self.pages.iter().map(|p| p.size_sum).sum::<Option<u64>>()
-            })
+            || meta.size_sum != self.pages.iter().map(|p| p.size_sum).sum::<u64>()
         {
             "zone maps differ from the manifest's".to_owned()
         } else {
@@ -1223,7 +1148,7 @@ impl SegmentFile {
         Err(bad(format!("segment {differs}")))
     }
 
-    /// The page directory (one synthesized page for v1 files).
+    /// The page directory.
     #[must_use]
     pub fn pages(&self) -> &[PageMeta] {
         &self.pages
@@ -1435,44 +1360,6 @@ impl SegmentFile {
     }
 }
 
-/// Header fields recovered by [`validate`], for cross-checking a segment
-/// file against its manifest entry without a full column decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentCheck {
-    /// Logical shard from the header.
-    pub shard: u16,
-    /// Row count from the header.
-    pub rows: u32,
-}
-
-/// Cheap integrity check over a segment file image: length, trailing
-/// checksum (which covers every preceding byte, columns and zone maps
-/// included), magic, and version — without decoding the columns. This is
-/// what `Store::open` runs over every manifest entry before serving
-/// queries, so the cost must stay one hash pass per file.
-pub fn validate(bytes: &[u8]) -> Result<SegmentCheck, StoreError> {
-    if bytes.len() < 12 + 8 {
-        return Err(bad("segment shorter than header"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let mut sum_bytes = [0u8; 8];
-    sum_bytes.copy_from_slice(tail);
-    if checksum(body) != u64::from_le_bytes(sum_bytes) {
-        return Err(bad("segment checksum mismatch"));
-    }
-    let mut cur = Cur::new(body);
-    if cur.take(4, "magic")? != MAGIC {
-        return Err(bad("bad segment magic"));
-    }
-    let version = cur.u16("version")?;
-    if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
-        return Err(bad(format!("unsupported segment version {version}")));
-    }
-    let shard = cur.u16("shard")?;
-    let rows = cur.u32("row count")?;
-    Ok(SegmentCheck { shard, rows })
-}
-
 /// Canonical segment file name: `s{shard:02}-{seq:06}.seg`.
 #[must_use]
 pub fn segment_file_name(shard: usize, seq: u32) -> String {
@@ -1631,7 +1518,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_reader_round_trips_and_v1_synthesizes_one_page() {
+    fn paged_reader_round_trips_and_v1_fails_typed() {
         let rows = sample_rows();
         let mut b = SegmentBuilder::new(3).with_page_rows(64);
         for r in &rows {
@@ -1641,34 +1528,32 @@ mod tests {
         assert_eq!(meta.pages, 500u64.div_ceil(64));
         assert_eq!(
             meta.size_sum,
-            Some(rows.iter().map(|r| u64::from(r.size)).sum())
+            rows.iter().map(|r| u64::from(r.size)).sum::<u64>()
         );
         // Eager decoder ignores the page directory entirely.
         let eager = SegmentData::decode(&bytes).unwrap();
         assert_eq!(eager.len(), rows.len());
         // Lazy reader decodes page by page to the same rows.
-        let file = SegmentFile::parse(bytes).unwrap();
+        let file = SegmentFile::parse(bytes.clone()).unwrap();
         assert_eq!(file.pages().len(), meta.pages as usize);
         assert_eq!(decode_all_pages(&file), rows);
 
-        // A v1 (pageless) image parses to one exact whole-segment page.
-        let mut b = SegmentBuilder::new(3).with_page_rows(64);
-        for r in &rows {
-            b.push(r);
+        // Version 1 (pageless) is no longer read: a typed error from
+        // both readers.
+        let mut v1 = bytes;
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body = v1.len() - 8;
+        let sum = checksum(&v1[..body]);
+        v1[body..].copy_from_slice(&sum.to_le_bytes());
+        for err in [
+            SegmentData::decode(&v1).unwrap_err(),
+            SegmentFile::parse(v1).unwrap_err(),
+        ] {
+            assert!(
+                err.to_string().contains("unsupported segment version 1"),
+                "{err}"
+            );
         }
-        let (v1_bytes, v1_meta) = b.encode_v1(segment_file_name(3, 0), 0);
-        assert_eq!(v1_meta.pages, 0);
-        assert_eq!(v1_meta.size_sum, None);
-        let v1 = SegmentFile::parse(v1_bytes).unwrap();
-        assert_eq!(v1.pages().len(), 1);
-        let page = &v1.pages()[0];
-        assert_eq!((page.start_row, page.rows), (0, 500));
-        assert_eq!(page.size_sum, None);
-        assert_eq!(
-            (page.min_time, page.max_time),
-            (meta.min_time_ms, meta.max_time_ms)
-        );
-        assert_eq!(decode_all_pages(&v1), rows);
     }
 
     #[test]
@@ -1687,7 +1572,7 @@ mod tests {
             assert_eq!((page.min_time, page.max_time), (min, max));
             assert_eq!(
                 page.size_sum,
-                Some(slice.iter().map(|r| u64::from(r.size)).sum())
+                slice.iter().map(|r| u64::from(r.size)).sum::<u64>()
             );
             for c in UpdateClass::ALL {
                 let n = slice.iter().filter(|r| r.class == c).count() as u64;

@@ -19,11 +19,12 @@
 //! `poll` is called. Incidents are stamped with event-time milliseconds,
 //! never the wall clock.
 
+use crate::durable::write_atomic;
 use crate::live::LiveStore;
 use crate::query::{Query, Store};
 use crate::StoreError;
 use iri_core::taxonomy::UpdateClass;
-use iri_faults::StoreFs;
+use iri_faults::{RetryPolicy, StoreFs};
 use iri_obs::cause::Cause;
 use iri_obs::incident::{
     ChangePointConfig, ChangePointDetector, Incident, IncidentKind, NoveltyConfig, NoveltyDetector,
@@ -110,12 +111,7 @@ impl WatchState {
     pub fn save(&self, fs: &dyn StoreFs, path: &Path) -> Result<(), StoreError> {
         let text =
             serde_json::to_string_pretty(self).map_err(|e| StoreError::Json(e.to_string()))?;
-        let tmp = path.with_extension("tmp");
-        fs.write(&tmp, text.as_bytes())
-            .map_err(|e| StoreError::io(&tmp, e))?;
-        fs.sync(&tmp).map_err(|e| StoreError::io(&tmp, e))?;
-        fs.rename(&tmp, path).map_err(|e| StoreError::io(path, e))?;
-        Ok(())
+        write_atomic(fs, &RetryPolicy::none(), path, text.as_bytes(), true).map(drop)
     }
 
     /// Reads a saved state; `Ok(None)` when the file does not exist yet

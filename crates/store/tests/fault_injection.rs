@@ -1,17 +1,21 @@
-//! Fault-injection and crash-recovery tests: the crash matrix (kill
-//! ingest at every counted I/O operation and every commit step, then
-//! prove `Store::open` recovers), transient-error retry accounting, and
-//! property tests over random corruption.
+//! Fault-injection and crash-recovery tests: the crash matrices (kill
+//! ingest, then every other kind of commit, at every counted I/O
+//! operation and every commit step, and prove `Store::open` recovers),
+//! transient-error retry accounting, and property tests over random
+//! corruption.
 //!
 //! The contract under test is all-or-previous atomicity: a store
-//! surviving a crash at ANY point of the ingest commit protocol recovers
-//! to either the fully committed new store (byte-identical replay to a
+//! surviving a crash at ANY point of the commit protocol recovers to
+//! either the fully committed new store (byte-identical replay to a
 //! clean run) or the previous store (the empty store, for a first
 //! ingest) — never a torn hybrid, and never a panic.
 
-use iri_faults::{FaultKind, FaultPlan, FaultyFs, RetryPolicy};
+use iri_faults::{real_fs, FaultKind, FaultPlan, FaultyFs, RetryPolicy, SharedFs};
 use iri_mrt::{Bgp4mpMessage, MrtReader, MrtRecord, MrtWriter};
-use iri_store::{ingest_mrt, IngestConfig, OpenOptions, Query, Store, StoreError, StoredEvent};
+use iri_store::{
+    compact, compact_in, ingest_mrt, IngestConfig, LiveOptions, LiveStore, OpenOptions, Query,
+    Store, StoreError, StoreWriter, StoredEvent,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -129,123 +133,260 @@ fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     entries
 }
 
-/// Kills ingest at every counted I/O operation, then proves recovery:
-/// the reopened store replays either byte-identically to the clean run
-/// (crash at/after the commit point) or empty (before it) — and after
-/// one recovery the store is clean.
-#[test]
-fn crash_matrix_kill_at_every_operation() {
-    let log = synthetic_log(300);
-    let rows = 64;
+const MATRIX_ROWS: u32 = 16;
 
-    // Clean single-threaded reference run, counting operations.
-    let clean_dir = temp_store_dir("matrix-clean");
-    let (cfg, fs) = faulty_config(FaultPlan::new(), rows);
-    ingest_with(&clean_dir, &log, &cfg).expect("clean ingest");
-    let total_ops = fs.ops();
-    assert!(total_ops > 20, "expected a real operation stream");
-    let clean_events = replay_events(&clean_dir);
-    let clean_files = store_files(&clean_dir);
-    assert!(!clean_events.is_empty());
-
-    let mut committed = 0u64;
-    let mut rolled_back = 0u64;
-    for kill_op in 0..total_ops {
-        let dir = temp_store_dir(&format!("matrix-op{kill_op}"));
-        let (cfg, fs) = faulty_config(FaultPlan::new().kill_at_op(kill_op), rows);
-        let err = ingest_with(&dir, &log, &cfg).expect_err("killed ingest must error");
-        assert!(fs.killed(), "op {kill_op}: kill fault must have fired");
-        assert!(
-            matches!(err, StoreError::Io { .. } | StoreError::Ingest(_)),
-            "op {kill_op}: unexpected error {err}"
-        );
-
-        match Store::open(&dir) {
-            // Killed before even the journal's begin record landed: the
-            // store never came to exist — the "previous" state of a
-            // first ingest.
-            Err(e) => {
-                assert!(
-                    matches!(e, StoreError::Io { .. }),
-                    "op {kill_op}: pre-begin crash must leave a typed I/O error, got {e}"
-                );
-                rolled_back += 1;
-            }
-            Ok(_) => {
-                let events = replay_events(&dir);
-                if events.is_empty() {
-                    rolled_back += 1;
-                } else {
-                    assert_eq!(
-                        events, clean_events,
-                        "op {kill_op}: committed recovery must replay byte-identically"
-                    );
-                    assert_eq!(
-                        store_files(&dir),
-                        clean_files,
-                        "op {kill_op}: recovered store files must match the clean run"
-                    );
-                    committed += 1;
-                }
-                // Recovery is idempotent: the second open has nothing to do.
-                let store = Store::open(&dir).expect("second open");
-                assert!(
-                    store.recovery().is_clean(),
-                    "op {kill_op}: second open must be clean"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-    // The matrix must have exercised both sides of the commit point.
-    assert!(rolled_back > 0, "no kill rolled back");
-    assert!(committed > 0, "no kill landed after the commit point");
-    std::fs::remove_dir_all(&clean_dir).unwrap();
+fn ingest_over(dir: &Path, fs: SharedFs, records: usize, rows: u32) -> Result<(), StoreError> {
+    let cfg = faulty_config(FaultPlan::new(), rows).0.with_fs(fs);
+    ingest_with(dir, &synthetic_log(records), &cfg)
 }
 
-/// Kills ingest at each named commit step and pins the exact outcome:
-/// before `JournalSealed` the recovered store is empty, from
-/// `JournalSealed` on it is the committed store.
+/// The first `n` rows the classifier makes from the synthetic log.
+fn classified_rows(n: usize) -> &'static [StoredEvent] {
+    static ROWS: std::sync::OnceLock<Vec<StoredEvent>> = std::sync::OnceLock::new();
+    let rows = ROWS.get_or_init(|| {
+        let dir = temp_store_dir("rows");
+        ingest_over(&dir, real_fs(), 200, MATRIX_ROWS).unwrap();
+        let rows = replay_events(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        rows
+    });
+    &rows[..n]
+}
+
+fn matrix_live(dir: &Path, fs: SharedFs) -> Result<LiveStore, StoreError> {
+    let opts = LiveOptions {
+        fs,
+        retry: RetryPolicy::none(),
+        create_segment_rows: Some(MATRIX_ROWS),
+        jobs: 1,
+    };
+    LiveStore::open_with(dir, &opts)
+}
+
+/// Two appends: every touched shard ends with a ragged chain.
+fn ragged_store(dir: &Path) {
+    let store = matrix_live(dir, real_fs()).unwrap();
+    store.append_events(classified_rows(120)).unwrap();
+    store.append_events(classified_rows(90)).unwrap();
+}
+
+fn matrix_compact(dir: &Path, fs: SharedFs) -> Result<(), StoreError> {
+    compact_in(dir, MATRIX_ROWS, fs, RetryPolicy::none()).map(drop)
+}
+
+/// One kind of commit: its name, what leaves the previous store in the
+/// directory, and the commit that gets killed.
+type CommitKind = (
+    &'static str,
+    fn(&Path),
+    fn(&Path, SharedFs) -> Result<(), StoreError>,
+);
+
+/// Every kind of commit there is. The first row is the matrix as it
+/// stood when ingest was the only kind.
+const COMMIT_KINDS: [CommitKind; 6] = [
+    (
+        "first ingest",
+        |_| {},
+        |dir, fs| ingest_over(dir, fs, 300, 64),
+    ),
+    (
+        "create+commit",
+        |_| {},
+        |dir, fs| {
+            let mut w = StoreWriter::create_with(dir, MATRIX_ROWS, fs, RetryPolicy::none())?;
+            classified_rows(150).iter().try_for_each(|r| w.push(r))?;
+            w.commit(150).map(drop)
+        },
+    ),
+    ("append", ragged_store, |dir, fs| {
+        matrix_live(dir, fs)?
+            .append_events(classified_rows(60))
+            .map(drop)
+    }),
+    (
+        "re-ingest",
+        |dir| ingest_over(dir, real_fs(), 200, MATRIX_ROWS).unwrap(),
+        |dir, fs| ingest_over(dir, fs, 300, MATRIX_ROWS),
+    ),
+    ("compact ragged", ragged_store, matrix_compact),
+    (
+        "compact canonical",
+        |dir| {
+            ragged_store(dir);
+            compact(dir, MATRIX_ROWS).unwrap();
+        },
+        matrix_compact,
+    ),
+];
+
+/// A scratch directory holding a copy of the store in `template`, or
+/// nothing yet if there is none.
+fn scratch_copy(tag: &str, template: &Path) -> PathBuf {
+    let dir = temp_store_dir(tag);
+    if let Ok(entries) = std::fs::read_dir(template) {
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in entries.map(Result::unwrap) {
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+    }
+    dir
+}
+
+/// What a directory holds: generation, rows in scan order, and every
+/// file in the root.
+type StoreState = (u64, Vec<StoredEvent>, Vec<(String, Vec<u8>)>);
+
+/// Opens a directory a killed (or clean) commit left and holds it to
+/// the contract: nothing torn or unaccounted for in the root, no retired
+/// tree, and nothing left for a second open to repair. Returns the
+/// state it recovered to, if any store came to exist.
+fn recovered(label: &str, dir: &Path) -> Option<StoreState> {
+    let store = match Store::open(dir) {
+        Ok(store) => store,
+        // Killed before even the journal's begin record landed: the
+        // store never came to exist — the "previous" state of a first
+        // commit.
+        Err(e) => {
+            assert!(matches!(e, StoreError::Io { .. }), "{label}: {e}");
+            return None;
+        }
+    };
+    let known: Vec<&String> = store.manifest().segments.iter().map(|m| &m.file).collect();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(!name.ends_with(".tmp"), "{label}: {name} left in the root");
+        assert!(
+            !name.ends_with(".seg") || known.contains(&&name),
+            "{label}: {name} is in the root but not in the manifest"
+        );
+        assert_ne!(name, "retired", "{label}: retired tree left behind");
+    }
+    // Strict open refuses to touch a store that still needs recovery;
+    // after the tolerant open above repaired it, strict succeeds, and
+    // recovery is idempotent: the second open has nothing to do.
+    let again = Store::open_strict(dir).expect("repaired store opens strict");
+    assert!(again.recovery().is_clean(), "{label}: second open");
+    Some((store.generation(), replay_events(dir), store_files(dir)))
+}
+
+/// The clean pass of one kind of commit: the directory holding the
+/// previous store, the states before and after the commit, and the
+/// counting filesystem that watched it.
+fn clean_pass(kind: &CommitKind) -> (PathBuf, Option<StoreState>, StoreState, Arc<FaultyFs>) {
+    let (name, before, commit) = kind;
+    let template = temp_store_dir("matrix-previous");
+    before(&template);
+    let previous = recovered(name, &template);
+    let dir = scratch_copy("matrix-clean", &template);
+    let counting = Arc::new(FaultyFs::counting());
+    commit(&dir, counting.clone()).expect("clean commit");
+    let clean = recovered(name, &dir).expect("a committed store");
+    assert!(!clean.1.is_empty());
+    // A commit that changes a file makes exactly one generation;
+    // compacting a canonical store changes none and makes none.
+    let noop = *name == "compact canonical";
+    let before_gen = previous.as_ref().map_or(0, |p| p.0);
+    assert_eq!(clean.0, before_gen + u64::from(!noop), "{name}");
+    assert_eq!(previous.as_ref() == Some(&clean), noop, "{name}");
+    std::fs::remove_dir_all(&dir).unwrap();
+    (template, previous, clean, counting)
+}
+
+/// Runs one kind of commit over a copy of `template` under a plan that
+/// must kill it, and holds what the directory recovers to against
+/// all-or-previous: the committed store, replaying byte-identically to
+/// the clean run with byte-identical files, or the store from before
+/// (the empty store, for a first commit). Returns whether it committed.
+fn killed_commit_recovers(
+    kind: &CommitKind,
+    label: &str,
+    plan: FaultPlan,
+    (template, previous, clean): (&Path, &Option<StoreState>, &StoreState),
+) -> bool {
+    let dir = scratch_copy("matrix-kill", template);
+    let fs = Arc::new(FaultyFs::new(plan));
+    let err = (kind.2)(&dir, fs.clone()).expect_err("killed commit must error");
+    assert!(fs.killed(), "{label}: kill fault must have fired");
+    assert!(
+        matches!(err, StoreError::Io { .. } | StoreError::Ingest(_)),
+        "{label}: unexpected error {err}"
+    );
+    let got = recovered(label, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    match (got, previous) {
+        (Some(got), _) if got == *clean => true,
+        (None, None) => false,
+        (Some(got), None) => {
+            assert!(got.1.is_empty(), "{label}: a torn first commit");
+            false
+        }
+        (got, Some(_)) => {
+            assert_eq!(&got, previous, "{label}: neither previous nor committed");
+            false
+        }
+    }
+}
+
+/// Kills every kind of commit at every counted I/O operation, then
+/// proves recovery: the reopened store replays either byte-identically
+/// to the clean run (crash at/after the commit point) or as the store
+/// from before (before it) — and after one recovery the store is clean.
+#[test]
+fn crash_matrix_kill_at_every_operation() {
+    for kind in &COMMIT_KINDS {
+        let name = kind.0;
+        // Clean single-threaded reference run, counting operations.
+        let (template, previous, clean, counting) = clean_pass(kind);
+        let noop = previous.as_ref() == Some(&clean);
+        let total_ops = counting.ops();
+        assert!(noop || total_ops > 20, "{name}: {total_ops} ops");
+
+        let mut committed = 0u64;
+        let mut rolled_back = 0u64;
+        for kill_op in 0..total_ops {
+            let label = format!("{name}, op {kill_op}");
+            let plan = FaultPlan::new().kill_at_op(kill_op);
+            if killed_commit_recovers(kind, &label, plan, (&template, &previous, &clean)) {
+                committed += 1;
+            } else {
+                rolled_back += 1;
+            }
+        }
+        // The matrix must have exercised both sides of the commit point
+        // (a no-op has one side: its two states are the same store).
+        assert!(noop || rolled_back > 0, "{name}: no kill rolled back");
+        assert!(committed > 0, "{name}: no kill committed");
+        std::fs::remove_dir_all(&template).ok();
+    }
+}
+
+/// Kills every kind of commit at each named commit step and pins the
+/// exact outcome: before `JournalSealed` the recovered store is the one
+/// from before, from `JournalSealed` on it is the committed store.
 #[test]
 fn crash_matrix_kill_at_every_commit_step() {
     use iri_store::CommitStep;
 
-    let log = synthetic_log(300);
-    let rows = 64;
-    let clean_dir = temp_store_dir("steps-clean");
-    let (cfg, _) = faulty_config(FaultPlan::new(), rows);
-    ingest_with(&clean_dir, &log, &cfg).expect("clean ingest");
-    let clean_events = replay_events(&clean_dir);
-    let clean_files = store_files(&clean_dir);
-
-    for step in CommitStep::ALL {
-        let dir = temp_store_dir(&format!("steps-{step}"));
-        let (cfg, fs) = faulty_config(FaultPlan::new().kill_at_step(step), rows);
-        ingest_with(&dir, &log, &cfg).expect_err("killed ingest must error");
-        assert!(fs.killed(), "{step}: kill must have fired");
-
-        let events = replay_events(&dir);
-        let expect_committed = step >= CommitStep::JournalSealed;
-        if expect_committed {
-            assert_eq!(events, clean_events, "{step}: must recover the commit");
-            assert_eq!(
-                store_files(&dir),
-                clean_files,
-                "{step}: recovered files must be byte-identical to a clean run"
-            );
-        } else {
-            assert!(
-                events.is_empty(),
-                "{step}: pre-commit crash must roll back to the empty store"
-            );
+    for kind in &COMMIT_KINDS {
+        let name = kind.0;
+        let (template, previous, clean, counting) = clean_pass(kind);
+        let noop = previous.as_ref() == Some(&clean);
+        for step in CommitStep::ALL {
+            // A commit passes every step exactly once; one that finds
+            // nothing to change never begins.
+            assert_eq!(counting.step_hits(step), u64::from(!noop), "{name}: {step}");
+            if noop {
+                continue;
+            }
+            let label = format!("{name}, {step}");
+            let plan = FaultPlan::new().kill_at_step(step);
+            let committed =
+                killed_commit_recovers(kind, &label, plan, (&template, &previous, &clean));
+            assert_eq!(committed, step >= CommitStep::JournalSealed, "{label}");
         }
-        // Strict open refuses to touch a store that still needs recovery;
-        // after the tolerant open above repaired it, strict succeeds.
-        let store = Store::open_strict(&dir).expect("repaired store opens strict");
-        assert!(store.recovery().is_clean());
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&template).ok();
     }
-    std::fs::remove_dir_all(&clean_dir).unwrap();
 }
 
 /// A crash mid-second-ingest must recover the FIRST store, not an empty
@@ -262,23 +403,50 @@ fn crash_during_reingest_recovers_previous_generation() {
     assert!(!first_events.is_empty());
 
     // Kill the second ingest while its segments are being written: after
-    // the journal begin (3 ops) and the prepare_dir removals, before its
-    // commit record.
+    // the journal begin (3 ops) and the first run's segments moving
+    // aside, before its commit record.
     let (cfg, fs) = faulty_config(FaultPlan::new().kill_at_op(40), 64);
     ingest_with(&dir, &second, &cfg).expect_err("killed reingest");
     assert!(fs.killed());
 
     let events = replay_events(&dir);
     let store = Store::open(&dir).unwrap();
-    // The second ingest journals a new generation, then clears the old
-    // segments; its crash rolls forward to that generation's intent —
-    // empty — never to a half-written mix of both runs.
-    assert!(
-        events.is_empty() || events == first_events,
-        "recovered store must be one of the two consistent states, got {} events",
-        events.len()
+    // The second ingest journals a new generation and moves the first
+    // run's segments aside; its crash rolls back to the first manifest,
+    // which it never touched, and recovery brings the segments back.
+    assert_eq!(
+        events, first_events,
+        "recovered store must be the first one, row for row"
     );
-    assert!(store.manifest().generation >= first_gen);
+    assert_eq!(store.manifest().generation, first_gen);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A displaced copy that no longer verifies is evidence: a rollback
+/// moves it to `quarantine/` before the dead commit's retired directory
+/// is dropped, and the segment it was leaves the manifest.
+#[test]
+fn rollback_quarantines_a_damaged_retired_copy() {
+    let dir = temp_store_dir("retired-damage");
+    ingest_over(&dir, real_fs(), 200, 64).unwrap();
+    let segments = Store::open(&dir).unwrap().manifest().segments.len();
+    let (cfg, _) = faulty_config(FaultPlan::new().kill_at_op(40), 64);
+    ingest_with(&dir, &synthetic_log(300), &cfg).expect_err("killed reingest");
+    let retired = std::fs::read_dir(dir.join("retired/g0000000002")).unwrap();
+    let victim = retired.map(|e| e.unwrap().path()).min().unwrap();
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[20] ^= 0xff;
+    std::fs::write(&victim, bytes).unwrap();
+
+    let store = Store::open(&dir).unwrap();
+    let name = victim.file_name().unwrap().to_str().unwrap();
+    let from_retired = format!("retired/g0000000002/{name}");
+    let quarantined = &store.recovery().quarantined;
+    assert!(quarantined.iter().any(|q| q.file == from_retired));
+    assert!(dir.join("quarantine").join(name).is_file());
+    assert!(!dir.join("retired").exists());
+    assert_eq!(store.manifest().segments.len(), segments - 1);
+    assert!(Store::open_strict(&dir).unwrap().recovery().is_clean());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -356,6 +524,45 @@ fn seeded_fault_plans_never_panic() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Recovery holds every file against its whole manifest entry, zone maps
+/// included — the verifier every later load runs — so a disagreement
+/// the size, row and shard checks cannot see is settled at open instead
+/// of surfacing in the first query that loads the segment.
+#[test]
+fn zone_map_disagreement_is_settled_at_open_not_by_a_query() {
+    let dir = temp_store_dir("zone-mismatch");
+    let (cfg, _) = faulty_config(FaultPlan::new(), 64);
+    ingest_with(&dir, &synthetic_log(150), &cfg).expect("clean ingest");
+    let mut manifest = Store::open(&dir).unwrap().manifest().clone();
+    let segments = manifest.segments.len();
+    let victim = manifest.segments[0].file.clone();
+    manifest.segments[0].policy_changes += 1;
+    std::fs::write(
+        dir.join("MANIFEST.json"),
+        serde_json::to_string_pretty(&manifest).unwrap(),
+    )
+    .unwrap();
+
+    let err = Store::open_strict(&dir)
+        .map(drop)
+        .expect_err("strict open must reject the mismatch");
+    assert!(
+        matches!(&err, StoreError::Corrupt { what, .. } if what.contains("zone maps")),
+        "{err}"
+    );
+    let mut store = Store::open(&dir).unwrap();
+    let quarantined = &store.recovery().quarantined;
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!(quarantined[0].file, victim);
+    assert!(quarantined[0].reason.contains("zone maps"));
+    assert_eq!(store.manifest().segments.len(), segments - 1);
+    // Nothing is left for a query to trip over.
+    let stats = store.scan(&Query::default(), |_| {}).unwrap();
+    assert_eq!(stats.segments_scanned as usize, segments - 1);
+    assert!(Store::open_strict(&dir).unwrap().recovery().is_clean());
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A failed segment load is never cached. The first load of one segment

@@ -4,18 +4,17 @@
 //! forced full scan (which never touches the cache) across random event
 //! sets, filters, windows, page sizes, and job counts; every
 //! column-projected aggregate must equal the same aggregate taken over
-//! the all-columns row visitor; and a v2 reader must answer identically
-//! over a v1 (pageless) store holding the same rows. Plus the segment
-//! reader's own properties: no panic on any bytes, dictionaries read in
-//! place round-trip.
+//! the all-columns row visitor. Plus the segment reader's own
+//! properties: no panic on any bytes, dictionaries read in place
+//! round-trip.
 
 use iri_bgp::types::{Asn, Prefix};
 use iri_core::input::PeerKey;
 use iri_core::taxonomy::UpdateClass;
 use iri_obs::cause::Cause;
 use iri_store::{
-    build_manifest, logical_shard, segment::segment_file_name, ColumnSet, PageBuf, PlanKind, Query,
-    SegmentBuilder, SegmentData, SegmentFile, Store, StoreWriter, StoredEvent, LOGICAL_SHARDS,
+    segment::segment_file_name, ColumnSet, PageBuf, PlanKind, Query, SegmentBuilder, SegmentData,
+    SegmentFile, Store, StoreWriter, StoredEvent,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -153,7 +152,7 @@ fn raw_query() -> impl Strategy<Value = RawQuery> {
         )
 }
 
-/// Writes the events into a fresh v2 store through the normal writer.
+/// Writes the events into a fresh store through the normal writer.
 fn build_store(dir: &Path, events: &[RawEvent], segment_rows: u32, page_rows: u32) {
     let mut w = StoreWriter::create(dir, segment_rows)
         .unwrap()
@@ -162,46 +161,6 @@ fn build_store(dir: &Path, events: &[RawEvent], segment_rows: u32, page_rows: u3
         w.push(&e.stored()).unwrap();
     }
     w.commit(events.len() as u64).unwrap();
-}
-
-/// Writes the same logical store in v1 (pageless) format by hand:
-/// same shard routing and roll size, `encode_v1` segments, and a
-/// manifest assembled with `build_manifest`.
-fn build_store_v1(dir: &Path, events: &[RawEvent], segment_rows: u32) {
-    std::fs::create_dir_all(dir).unwrap();
-    let mut builders: Vec<Option<SegmentBuilder>> = (0..LOGICAL_SHARDS).map(|_| None).collect();
-    let mut seqs = [0u32; LOGICAL_SHARDS];
-    let mut metas = Vec::new();
-    let mut flush = |shard: usize, b: SegmentBuilder, seq: u32| {
-        let file = segment_file_name(shard, seq);
-        let (bytes, meta) = b.encode_v1(file.clone(), seq);
-        std::fs::write(dir.join(&file), bytes).unwrap();
-        metas.push(meta);
-    };
-    for e in events {
-        let ev = e.stored();
-        let shard = logical_shard(ev.peer.asn, ev.prefix);
-        let b = builders[shard].get_or_insert_with(|| SegmentBuilder::new(shard as u16));
-        b.push(&ev);
-        if b.rows() >= segment_rows {
-            let b = builders[shard].take().unwrap();
-            flush(shard, b, seqs[shard]);
-            seqs[shard] += 1;
-        }
-    }
-    for shard in 0..LOGICAL_SHARDS {
-        if let Some(b) = builders[shard].take() {
-            if !b.is_empty() {
-                flush(shard, b, seqs[shard]);
-            }
-        }
-    }
-    let manifest = build_manifest(metas, segment_rows, events.len() as u64, 0);
-    std::fs::write(
-        dir.join("MANIFEST.json"),
-        serde_json::to_string_pretty(&manifest).unwrap(),
-    )
-    .unwrap();
 }
 
 /// Every observable answer of one query against one store handle.
@@ -324,35 +283,6 @@ proptest! {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v2_reader_answers_v1_stores_unchanged(
-        events in proptest::collection::vec(raw_event(), 0..300),
-        queries in proptest::collection::vec(raw_query(), 1..5),
-        segment_rows in 16u32..200,
-    ) {
-        let v2 = temp_store_dir("v2side");
-        let v1 = temp_store_dir("v1side");
-        build_store(&v2, &events, segment_rows, 64);
-        build_store_v1(&v1, &events, segment_rows);
-
-        let mut paged = Store::open(&v2).unwrap();
-        let mut pageless = Store::open(&v1).unwrap();
-        for rq in &queries {
-            let q = rq.query();
-            prop_assert_eq!(
-                answers(&mut paged, &q),
-                answers(&mut pageless, &q),
-                "v2 vs v1 store, query {:?}",
-                q
-            );
-        }
-        // v1 manifests carry no page directory; the reader synthesizes
-        // one page per segment at scan time, never at the manifest.
-        prop_assert!(pageless.manifest().segments.iter().all(|m| m.pages == 0));
-        std::fs::remove_dir_all(&v2).ok();
-        std::fs::remove_dir_all(&v1).ok();
     }
 
     /// The lazy reader reads its dictionaries in place from the image:
