@@ -78,6 +78,10 @@ cargo test -q -p iri-store --test fault_injection
 echo "==> crash-recovery matrix in release mode"
 cargo test --release -q -p iri-store --test fault_injection crash_matrix
 
+echo "==> tail fold is canonical at any batching; an append is 15 operations and one file (release)"
+cargo test --release -q -p iri-store --test tail_fold
+cargo test --release -q -p iri-store --test live_store an_append_costs
+
 echo "==> store equivalence at paper scale (3M records, release)"
 IRI_EQUIV_RECORDS=3000000 cargo test --release -q -p iri-bench --test store_equivalence
 

@@ -56,7 +56,7 @@ use iri_core::timeseries::detrend::log_detrend;
 use iri_core::timeseries::spectrum::{acf_spectrum, dominant_periods};
 use iri_obs::Cause;
 use iri_serve::{Client, Command, Filter, HealthBody, MetricsBody, Response, StatsBody};
-use iri_store::{PlanKind, StoreError};
+use iri_store::{PlanKind, StoreError, TAIL_SHARD};
 use std::path::Path;
 
 fn usage() -> ! {
@@ -160,6 +160,10 @@ fn print_serve_stats(stats: &StatsBody) {
         stats.appends, stats.appended_events, stats.compactions, stats.gc_removed_dirs,
     );
     println!(
+        "[serve] tails: {} segment(s), {} rows awaiting compaction",
+        stats.tail_segments, stats.tail_rows,
+    );
+    println!(
         "[serve] gate: {} ms waited in total, {} abandoned after waiting ({} ms wasted)",
         stats.gate_wait_total_us / 1_000,
         stats.gate_abandoned,
@@ -186,6 +190,10 @@ fn print_health(health: &HealthBody) {
             .map_or_else(|| "none".to_owned(), |g| g.to_string()),
         health.retired_dirs,
         health.cache_entries,
+    );
+    println!(
+        "tails: {} segment(s), {} rows awaiting compaction",
+        health.tail_segments, health.tail_rows,
     );
     println!("{}", cli::render_cache_stats(&health.segment_cache));
 }
@@ -486,8 +494,14 @@ fn main() {
                 .segments
                 .iter()
                 .map(|s| s.shard)
+                .filter(|&shard| shard != TAIL_SHARD)
                 .collect::<std::collections::BTreeSet<_>>();
             println!("shards used:  {} of {}", shards.len(), m.logical_shards);
+            println!(
+                "tails:        {} segments, {} rows",
+                m.tails().count(),
+                m.tails().map(|s| s.rows).sum::<u64>()
+            );
             let quarantined = store.recovery().quarantined.len();
             if quarantined > 0 {
                 println!("quarantined:  {quarantined} file(s) — see quarantine/");

@@ -86,6 +86,10 @@ fn connect_main(addr: &str, args: &[String]) -> ! {
         health.cache_entries,
         health.draining,
     );
+    println!(
+        "tails: {} segment(s), {} rows awaiting compaction",
+        health.tail_segments, health.tail_rows,
+    );
     let metrics = match client.request(Command::Metrics) {
         Ok(reply) => match reply.resp {
             Response::Metrics { metrics } => metrics,

@@ -380,6 +380,12 @@ pub struct StatsBody {
     /// misses, evictions, invalidations (zeros from older servers).
     #[serde(default)]
     pub segment_cache: SegmentCacheStats,
+    /// Tail segments awaiting compaction (0 from older servers).
+    #[serde(default)]
+    pub tail_segments: u64,
+    /// Rows in those tails: the compaction lag.
+    #[serde(default)]
+    pub tail_rows: u64,
 }
 
 /// One entry in the slow-query log: the worst requests the service has
@@ -446,6 +452,12 @@ pub struct HealthBody {
     /// The live store's segment cache (zeros from older servers).
     #[serde(default)]
     pub segment_cache: SegmentCacheStats,
+    /// Tail segments awaiting compaction (0 from older servers).
+    #[serde(default)]
+    pub tail_segments: u64,
+    /// Rows in those tails: the compaction lag.
+    #[serde(default)]
+    pub tail_rows: u64,
 }
 
 /// The outcome of one command.
@@ -685,6 +697,8 @@ mod tests {
                     retired_dirs: 0,
                     cache_entries: 5,
                     segment_cache: SegmentCacheStats::default(),
+                    tail_segments: 2,
+                    tail_rows: 512,
                 },
             },
             plan: None,
@@ -707,6 +721,7 @@ mod tests {
         assert_eq!(body.gate_wait_total_us, 0);
         assert_eq!(body.gate_abandoned, 0);
         assert_eq!(body.gate_abandon_wait_us, 0);
+        assert_eq!((body.tail_segments, body.tail_rows), (0, 0));
     }
 
     #[test]

@@ -552,6 +552,8 @@ impl ServeCore {
             retired_dirs: live.retired_dirs,
             cache_entries: cache.entries,
             segment_cache: self.live.cache_stats(),
+            tail_segments: live.tail_segments,
+            tail_rows: live.tail_rows,
         }
     }
 
@@ -602,6 +604,8 @@ impl ServeCore {
             gate_abandoned: self.counter_value("serve.gate_abandoned"),
             gate_abandon_wait_us: self.counter_value("serve.gate_abandon_wait_us"),
             segment_cache: self.live.cache_stats(),
+            tail_segments: live.tail_segments,
+            tail_rows: live.tail_rows,
         }
     }
 

@@ -677,8 +677,18 @@ fn tcp_round_trip_and_graceful_drain() {
     }
     match client.request(Command::Stats).unwrap().resp {
         Response::Stats {
-            stats: StatsBody { total_pins, .. },
-        } => assert!(total_pins >= 1),
+            stats:
+                StatsBody {
+                    total_pins,
+                    tail_segments,
+                    tail_rows,
+                    ..
+                },
+        } => {
+            assert!(total_pins >= 1);
+            // The one append so far sits in one tail until a compaction.
+            assert_eq!((tail_segments, tail_rows), (1, 30));
+        }
         other => panic!("stats answered {other:?}"),
     }
 

@@ -1,4 +1,5 @@
-//! Ingest: routing classified events into per-shard segment writers.
+//! Ingest: routing classified events into per-shard segment writers, and
+//! compaction.
 //!
 //! Two paths produce identical stores:
 //!
@@ -17,17 +18,21 @@
 //! ([`RetryPolicy`]); the retry count surfaces in
 //! [`IngestOutcome::retries`] and the `store.ingest.retries` counter.
 //!
-//! [`compact`] rewrites shards whose segment chain has ragged row counts
-//! into the canonical form: every segment full at `target_rows` except the
-//! shard's last. Because segment encoding is a pure function of the row
-//! stream, compaction output depends only on the logical store content.
+//! A third writer, [`crate::LiveStore::append_events`], does not route at
+//! all: it commits each batch as one tail segment, rows in arrival order.
+//! [`compact`] folds those tails into the shard chains and rewrites chains
+//! with ragged row counts, restoring the canonical form: every segment
+//! full at `target_rows` except the shard's last, and no tails. A shard's
+//! row stream is its chain's rows, then its rows of each tail in commit
+//! order; because segment encoding is a pure function of that stream,
+//! compaction output depends only on the logical store content.
 
 use crate::durable::Txn;
 use crate::query::{parse_manifest, Manifest, SegmentMeta};
 use crate::segment::{segment_file_name, SegmentBuilder, SegmentData, DEFAULT_PAGE_ROWS};
 use crate::{
     logical_shard, shard_of_event, StoreError, StoredEvent, DEFAULT_SEGMENT_ROWS, LOGICAL_SHARDS,
-    MANIFEST_FILE,
+    MANIFEST_FILE, TAIL_SHARD,
 };
 use iri_core::classifier::ClassifiedEvent;
 use iri_core::input::UpdateEvent;
@@ -155,8 +160,8 @@ impl StoreWriter {
     }
 
     /// A writer inside `txn` whose commit keeps `existing` and continues
-    /// each shard's segment chain after it — the live append path, and
-    /// (with nothing existing) every writer of a fresh store.
+    /// each shard's segment chain after it — compaction, and (with
+    /// nothing existing) every writer of a fresh store.
     pub(crate) fn extending(txn: Arc<Txn>, segment_rows: u32, existing: Vec<SegmentMeta>) -> Self {
         let mut seqs = vec![0u32; LOGICAL_SHARDS];
         for meta in &existing {
@@ -362,16 +367,19 @@ pub struct CompactReport {
     pub segments_after: usize,
 }
 
-/// Rewrites every shard whose segment chain is not in canonical form —
-/// all segments holding exactly `target_rows` rows except the shard's
-/// last — by re-encoding its row stream into fresh segments.
+/// Restores canonical form: folds every tail segment into the shard
+/// chains and re-cuts every chain that is not all segments holding
+/// exactly `target_rows` rows except the shard's last. Full canonical
+/// segments at the front of a chain are kept as they are — neither read
+/// nor renamed — so the work follows the rows appended since the last
+/// compaction plus at most one partial segment per shard, not the store.
 ///
 /// Deterministic: the output bytes are a pure function of the store's
 /// logical content and `target_rows`. Compacting two stores that hold the
-/// same events (e.g. written with different original segment sizes)
-/// yields byte-identical segment files; compacting a store that is
-/// already canonical at `target_rows` touches nothing, not even the
-/// generation.
+/// same events (e.g. written with different original segment sizes, or
+/// appended in different batches) yields byte-identical segment files;
+/// compacting a store that is already canonical at `target_rows` touches
+/// nothing, not even the generation.
 ///
 /// One commit of the crash-safe protocol like any other: replaced
 /// segments are moved aside until the new manifest is sealed, so a crash
@@ -395,18 +403,51 @@ pub fn compact_in(
     compact_manifest(&fs, dir, retry, &manifest, target_rows, false).map(|(report, _)| report)
 }
 
-/// Whether a shard's segment chain is already what compaction at
-/// `target_rows` would write. Canonical form also pins the page layout:
-/// rewriting re-encodes with [`DEFAULT_PAGE_ROWS`], so an oddly-paged
-/// chain is not canonical.
-fn is_canonical(chain: &[&SegmentMeta], target_rows: u32) -> bool {
-    chain.iter().enumerate().all(|(i, m)| {
-        m.seq == i as u32
-            && (i + 1 == chain.len() || m.rows == u64::from(target_rows))
-            && m.pages == m.rows.div_ceil(u64::from(DEFAULT_PAGE_ROWS))
-    }) && chain
-        .last()
-        .is_none_or(|m| m.rows <= u64::from(target_rows))
+/// Whether `meta` has the page layout a rewrite would give it: canonical
+/// form pins that too, since rewriting re-encodes with
+/// [`DEFAULT_PAGE_ROWS`].
+fn canonically_paged(meta: &SegmentMeta) -> bool {
+    meta.pages == meta.rows.div_ceil(u64::from(DEFAULT_PAGE_ROWS))
+}
+
+/// How many segments at the front of a shard's chain compaction at
+/// `target_rows` never has to touch again: in position, full, and paged
+/// as a rewrite would page them.
+fn full_prefix(chain: &[&SegmentMeta], target_rows: u32) -> usize {
+    chain
+        .iter()
+        .enumerate()
+        .take_while(|(i, m)| {
+            m.seq == *i as u32 && m.rows == u64::from(target_rows) && canonically_paged(m)
+        })
+        .count()
+}
+
+/// Whether what follows a chain's `full` leading segments is what
+/// compaction at `target_rows` would write there: nothing, or the one
+/// partial segment that ends the chain.
+fn is_canonical_end(rest: &[&SegmentMeta], full: usize, target_rows: u32) -> bool {
+    match rest {
+        [] => true,
+        [last] => {
+            last.seq == full as u32 && last.rows < u64::from(target_rows) && canonically_paged(last)
+        }
+        _ => false,
+    }
+}
+
+/// Appends the rows of the segment `meta` names to `rows`, in row order.
+fn read_rows(
+    fs: &SharedFs,
+    dir: &Path,
+    meta: &SegmentMeta,
+    rows: &mut Vec<StoredEvent>,
+) -> Result<(), StoreError> {
+    let path = dir.join(&meta.file);
+    let bytes = fs.read(&path).map_err(|e| StoreError::io(&path, e))?;
+    let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(&path))?;
+    rows.extend((0..seg.len()).map(|i| seg.event(i)));
+    Ok(())
 }
 
 /// [`compact`] of the store `manifest` describes, through `fs`. Returns
@@ -421,28 +462,55 @@ pub(crate) fn compact_manifest(
     keep_retired: bool,
 ) -> Result<(CompactReport, Option<Manifest>), StoreError> {
     let target_rows = target_rows.max(1);
-    let mut by_shard: Vec<Vec<&SegmentMeta>> = (0..LOGICAL_SHARDS).map(|_| Vec::new()).collect();
+    let mut chains: Vec<Vec<&SegmentMeta>> = (0..LOGICAL_SHARDS).map(|_| Vec::new()).collect();
+    // In commit order: the manifest is sorted by (shard, seq).
+    let mut tails: Vec<&SegmentMeta> = Vec::new();
     for meta in &manifest.segments {
-        let shard = meta.shard as usize;
-        if shard >= LOGICAL_SHARDS {
-            return Err(StoreError::corrupt(
-                dir.join(MANIFEST_FILE),
-                format!("manifest segment shard {shard} out of range"),
-            ));
+        match chains.get_mut(meta.shard as usize) {
+            Some(chain) => chain.push(meta),
+            None if meta.shard == TAIL_SHARD => tails.push(meta),
+            None => {
+                return Err(StoreError::corrupt(
+                    dir.join(MANIFEST_FILE),
+                    format!("manifest segment shard {} out of range", meta.shard),
+                ));
+            }
         }
-        by_shard[shard].push(meta);
     }
-    let (canonical, ragged): (Vec<_>, Vec<_>) = by_shard
-        .iter()
-        .partition(|chain| is_canonical(chain, target_rows));
+
+    // Every tail is read once, before anything in the directory changes.
+    let mut tail_rows: Vec<StoredEvent> = Vec::new();
+    for meta in &tails {
+        read_rows(fs, dir, meta, &mut tail_rows)?;
+    }
+    let mut receives = [false; LOGICAL_SHARDS];
+    for row in &tail_rows {
+        receives[logical_shard(row.peer.asn, row.prefix)] = true;
+    }
+
+    // A chain is re-cut from its first segment that is not full, and only
+    // if it receives rows or does not end the way canonical form ends.
+    let mut kept: Vec<SegmentMeta> = Vec::new();
+    let mut recut: Vec<&[&SegmentMeta]> = Vec::new();
+    for (chain, receives) in chains.iter().zip(receives) {
+        let full = full_prefix(chain, target_rows);
+        let (settled, rest) = chain.split_at(full);
+        let keep = if receives || !is_canonical_end(rest, full, target_rows) {
+            recut.push(rest);
+            settled
+        } else {
+            chain.as_slice()
+        };
+        kept.extend(keep.iter().map(|m| (*m).clone()));
+    }
     let mut report = CompactReport {
-        shards_rewritten: ragged.len(),
+        shards_rewritten: recut.len(),
         segments_before: manifest.segments.len(),
         segments_after: manifest.segments.len(),
     };
     // The roll size is part of the manifest: a store canonical at another
     // size still commits, so equal content ends in equal manifests.
-    if report.shards_rewritten == 0 && manifest.segment_rows == target_rows {
+    if recut.is_empty() && tails.is_empty() && manifest.segment_rows == target_rows {
         return Ok((report, None));
     }
 
@@ -454,25 +522,25 @@ pub(crate) fn compact_manifest(
         target_rows,
         keep_retired,
     )?;
-    let kept = canonical
-        .iter()
-        .flat_map(|chain| chain.iter().map(|m| (*m).clone()));
-    let mut writer = StoreWriter::extending(Arc::new(txn), target_rows, kept.collect());
-    for chain in ragged {
-        // Decode the shard's full row stream in segment order, move the
-        // old chain aside, then let the writer re-cut the stream under
-        // the names the chain just gave up.
+    let mut writer = StoreWriter::extending(Arc::new(txn), target_rows, kept);
+    for rest in recut {
+        // Decode the end of the chain in segment order, move it aside,
+        // then let the writer continue the chain with those rows under
+        // the names the end just gave up.
         let mut rows: Vec<StoredEvent> = Vec::new();
-        for meta in chain {
-            let path = dir.join(&meta.file);
-            let bytes = fs.read(&path).map_err(|e| StoreError::io(&path, e))?;
-            let seg = SegmentData::decode(&bytes).map_err(|e| e.with_path(&path))?;
-            rows.extend((0..seg.len()).map(|i| seg.event(i)));
+        for meta in rest {
+            read_rows(fs, dir, meta, &mut rows)?;
         }
-        for meta in chain {
+        for meta in rest {
             writer.txn.displace(&meta.file)?;
         }
         rows.iter().try_for_each(|row| writer.push(row))?;
+    }
+    // Chain rows first, then the tails' in commit order: each shard's
+    // builder sees exactly the stream a single bulk writer would have.
+    tail_rows.iter().try_for_each(|row| writer.push(row))?;
+    for meta in &tails {
+        writer.txn.displace(&meta.file)?;
     }
     let committed = writer.commit(manifest.records_read)?;
     report.segments_after = committed.segments.len();

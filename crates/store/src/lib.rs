@@ -17,19 +17,27 @@
 //! `MANIFEST.json`. Events are routed to one of [`LOGICAL_SHARDS`] logical
 //! shards by a hash of their (peer AS, prefix) pair — the same pair
 //! locality the streaming pipeline uses — and each shard's event stream is
-//! cut into segments of a fixed row count. Inside a segment every field is
-//! a separate column: delta-compressed timestamps, dictionary-encoded
-//! peers and prefixes, one byte per row for the packed (class, cause)
-//! pair, a bit-packed policy-change flag, and varint NLRI sizes. Each
-//! segment footer carries **zone maps** (min/max time, per-class and
-//! per-cause counts, peer/prefix membership bitmaps) that the manifest
-//! replicates so queries prune segments without touching the files.
+//! cut into segments of a fixed row count: 32 canonical chains. Inside a
+//! segment every field is a separate column: delta-compressed timestamps,
+//! dictionary-encoded peers and prefixes, one byte per row for the packed
+//! (class, cause) pair, a bit-packed policy-change flag, and varint NLRI
+//! sizes. Each segment footer carries **zone maps** (min/max time,
+//! per-class and per-cause counts, peer/prefix membership bitmaps) that
+//! the manifest replicates so queries prune segments without touching the
+//! files.
+//!
+//! Beside the chains a live store holds zero or more **tail segments**,
+//! one per [`LiveStore::append_events`] since the last compaction: the
+//! appended batch in arrival order, every shard mixed, in the same file
+//! format under the pseudo-shard [`TAIL_SHARD`]. Compaction folds the
+//! tails into the chains.
 //!
 //! Because the shard count and segment row count are fixed, the encoded
-//! bytes depend only on the logical event stream — not on `--jobs`, not on
-//! the machine. Ingesting the same log twice produces byte-identical
-//! segments; so does [`compact`]ing two stores that started from different
-//! segment sizes. See `DESIGN.md` for the format contract.
+//! bytes of a compacted store depend only on the logical event stream —
+//! not on `--jobs`, not on the machine, not on how appends were batched.
+//! Ingesting the same log twice produces byte-identical segments; so does
+//! [`compact`]ing two stores that started from different segment sizes.
+//! See `DESIGN.md` for the format contract.
 //!
 //! ```no_run
 //! use iri_store::{Query, Store};
@@ -83,6 +91,11 @@ pub use watch::{WatchConfig, WatchReport, WatchState, Watcher};
 /// name, so it is fixed independently of the worker count — ingest at any
 /// `--jobs` produces the same files.
 pub const LOGICAL_SHARDS: usize = 32;
+
+/// The pseudo-shard of a tail segment: one past the last logical shard,
+/// so tails sort after every canonical chain in the manifest, in commit
+/// order, and are named `s32-NNNNNN.seg` like any other segment.
+pub const TAIL_SHARD: u32 = LOGICAL_SHARDS as u32;
 
 /// Default rows per segment before the writer rolls to a new file.
 pub const DEFAULT_SEGMENT_ROWS: u32 = 65_536;

@@ -22,8 +22,8 @@
 //!    names; re-ingest clears the directory) instead *renames* it to
 //!    `retired/g<g>/<file>` — atomic, so a concurrent reader sees
 //!    either the old bytes at the main path or finds them in `retired/`.
-//!    Appends need no retirement: they only add segments at fresh
-//!    names, continuing each shard's sequence chain.
+//!    Appends need no retirement: each only adds one tail segment at a
+//!    fresh sequence number of the tail chain.
 //! 3. **Reclaim.** `retired/g<g>/` is needed only by pins *older* than
 //!    `g`. Garbage collection deletes every retired directory at or
 //!    below the oldest pinned generation (all of them when nothing is
@@ -41,7 +41,8 @@ use crate::cache::{SegmentCache, SegmentCacheStats};
 use crate::durable::{retired_dir_for, retired_generations, Txn};
 use crate::ingest::{self, CompactReport, IngestConfig, IngestOutcome, StoreWriter};
 use crate::query::{Manifest, OpenOptions, SegmentMeta, Store};
-use crate::{StoreError, StoredEvent, RETIRED_DIR};
+use crate::segment::{segment_file_name, SegmentBuilder};
+use crate::{StoreError, StoredEvent, RETIRED_DIR, TAIL_SHARD};
 use iri_faults::{real_fs, RetryPolicy, SharedFs};
 use iri_mrt::MrtReader;
 use serde::Serialize;
@@ -168,6 +169,10 @@ pub struct LiveStats {
     pub retired_dirs: u64,
     /// Retired generation directories reclaimed since open.
     pub gc_removed_dirs: u64,
+    /// Tail segments awaiting compaction: appends since the last one.
+    pub tail_segments: u64,
+    /// Rows in those tails — how far the chains lag the store.
+    pub tail_rows: u64,
 }
 
 #[derive(Debug, Default)]
@@ -288,15 +293,26 @@ impl LiveStore {
         }
     }
 
-    /// Appends pre-classified rows as a new commit, continuing each
-    /// shard's segment chain at fresh file names (existing segments are
-    /// untouched, so no retirement is needed). Returns the new
-    /// generation. Appended chains may be ragged; [`LiveStore::compact`]
-    /// restores canonical form.
+    /// Appends pre-classified rows as a new commit of one file: a tail
+    /// segment holding the batch in arrival order, at a fresh sequence
+    /// number (existing segments are untouched, so no retirement is
+    /// needed). Returns the new generation. The cost of a commit does not
+    /// depend on how many rows the batch holds or how many shards they
+    /// touch — an empty batch commits an empty tail like any other;
+    /// [`LiveStore::compact`] folds the tails into the shard chains.
     pub fn append_events(&self, rows: &[StoredEvent]) -> Result<u64, StoreError> {
+        // Encoded before the lock is taken: the image holds neither its
+        // file name nor its sequence number, so only the publish below
+        // is serialized with other writers.
+        let mut tail = SegmentBuilder::new(TAIL_SHARD as u16);
+        rows.iter().for_each(|row| tail.push(row));
+        let (bytes, mut meta) = tail.encode(String::new(), 0);
+
         let _w = lock(&self.write_lock, "write");
         let old = self.manifest();
         let generation = old.generation + 1;
+        meta.seq = old.tails().map(|m| m.seq + 1).max().unwrap_or(0);
+        meta.file = segment_file_name(TAIL_SHARD as usize, meta.seq);
         let txn = Txn::begin(
             self.fs.clone(),
             &self.dir,
@@ -305,11 +321,11 @@ impl LiveStore {
             old.segment_rows,
             true,
         )?;
-        let mut writer = StoreWriter::extending(Arc::new(txn), old.segment_rows, old.segments);
-        for row in rows {
-            writer.push(row)?;
-        }
-        *lock(&self.manifest, "manifest") = writer.commit(old.records_read)?;
+        txn.write_segment(&meta.file, &bytes)?;
+        let mut segments = old.segments;
+        segments.push(meta);
+        *lock(&self.manifest, "manifest") =
+            txn.seal(segments, old.segment_rows, old.records_read)?;
         {
             let mut c = lock(&self.counters, "counters");
             c.appends += 1;
@@ -319,10 +335,10 @@ impl LiveStore {
         Ok(generation)
     }
 
-    /// Rewrites ragged shard chains into canonical form as a new
-    /// generation, retiring replaced files for pinned readers. A store
-    /// already canonical at `target_rows` is left as it is, generation
-    /// included.
+    /// Folds the tails into the shard chains and rewrites ragged chains
+    /// into canonical form as a new generation, retiring replaced files
+    /// for pinned readers. A store already canonical at `target_rows` is
+    /// left as it is, generation included.
     pub fn compact(&self, target_rows: u32) -> Result<CompactReport, StoreError> {
         let _w = lock(&self.write_lock, "write");
         let (report, committed) = ingest::compact_manifest(
@@ -415,9 +431,14 @@ impl LiveStore {
             )
         };
         let retired_dirs = retired_generations(&*self.fs, &self.dir).len() as u64;
+        let (generation, tail_segments, tail_rows) = {
+            let manifest = lock(&self.manifest, "manifest");
+            let rows = manifest.tails().map(|m| m.rows).sum();
+            (manifest.generation, manifest.tails().count() as u64, rows)
+        };
         let c = lock(&self.counters, "counters");
         LiveStats {
-            generation: self.generation(),
+            generation,
             active_pins: active,
             min_pinned,
             total_pins: total,
@@ -427,6 +448,8 @@ impl LiveStore {
             ingests: c.ingests,
             retired_dirs,
             gc_removed_dirs: c.gc_removed_dirs,
+            tail_segments,
+            tail_rows,
         }
     }
 

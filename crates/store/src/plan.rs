@@ -286,10 +286,15 @@ impl PhysicalPlan {
                 SegmentFate::ZoneAnswered => "zone-answered".to_owned(),
                 SegmentFate::Scan => format!("scan ({} pages)", s.pages),
             };
+            let chain = if s.shard == crate::TAIL_SHARD {
+                "tail".to_owned()
+            } else {
+                format!("shard {:02}", s.shard)
+            };
             let _ = writeln!(
                 out,
-                "  {} shard {:02} seq {:06} rows {:>7} {}",
-                s.file, s.shard, s.seq, s.rows, fate
+                "  {} {chain:<8} seq {:06} rows {:>7} {}",
+                s.file, s.seq, s.rows, fate
             );
         }
         out
@@ -330,6 +335,15 @@ mod tests {
                 pages: 1,
                 fate: SegmentFate::Scan,
             },
+            SegmentStep {
+                file: "s32-000000.seg".into(),
+                shard: crate::TAIL_SHARD,
+                seq: 0,
+                rows: 10,
+                bytes: 100,
+                pages: 1,
+                fate: SegmentFate::Scan,
+            },
         ];
         let plan = PhysicalPlan {
             query: Query::default().time_range_ms(5, 50),
@@ -340,13 +354,15 @@ mod tests {
         };
         assert_eq!(plan.segments_pruned(), 1);
         assert_eq!(plan.segments_zone_answered(), 1);
-        assert_eq!(plan.segments_scanned(), 1);
+        assert_eq!(plan.segments_scanned(), 2);
         let text = plan.explain();
         assert!(text.contains("count-by-class"), "{text}");
         assert!(
-            text.contains("1 pruned, 1 zone-answered, 1 scanned"),
+            text.contains("1 pruned, 1 zone-answered, 2 scanned"),
             "{text}"
         );
+        assert!(text.contains("s02-000000.seg shard 02 seq"), "{text}");
+        assert!(text.contains("s32-000000.seg tail     seq"), "{text}");
         assert!(text.contains("time-disjoint"), "{text}");
         assert!(text.contains("columns: time class/cause\n"), "{text}");
     }

@@ -1,7 +1,8 @@
 //! Query engine: manifest, zone-map pruning, scans, and aggregations.
 //!
-//! Every query walks the manifest in (shard, seq) order and decides, per
-//! segment, one of three fates:
+//! Every query walks the manifest in (shard, seq) order — the 32 shard
+//! chains, then the tails (shard [`crate::TAIL_SHARD`]) in commit order —
+//! and decides, per segment, one of three fates:
 //!
 //! 1. **pruned** — the zone maps prove no row can match; the file is
 //!    never opened;
@@ -22,7 +23,7 @@ use crate::segment::{
     bloom_contains, peer_bloom_hash, prefix_bloom_hash, ColumnSet, PageBuf, PageMeta, SegmentData,
     SegmentFile, BLOOM_WORDS,
 };
-use crate::{StoreError, StoredEvent, LOGICAL_SHARDS};
+use crate::{StoreError, StoredEvent, LOGICAL_SHARDS, TAIL_SHARD};
 use iri_bgp::types::{Asn, Prefix};
 use iri_core::fxhash::FxHashMap;
 use iri_core::taxonomy::UpdateClass;
@@ -103,6 +104,14 @@ pub struct Manifest {
     pub max_time_ms: u64,
     /// Every segment, sorted by (shard, seq).
     pub segments: Vec<SegmentMeta>,
+}
+
+impl Manifest {
+    /// The tail segments, in commit order: what live appends added since
+    /// the last compaction (see [`crate::TAIL_SHARD`]).
+    pub fn tails(&self) -> impl Iterator<Item = &SegmentMeta> {
+        self.segments.iter().filter(|m| m.shard == TAIL_SHARD)
+    }
 }
 
 /// Parses and validates manifest bytes. Errors carry no path; callers
@@ -561,10 +570,9 @@ impl Source<'_> {
     /// path first, then — on a pinned snapshot — the retired tree.
     fn load_uncached(&self, meta: &SegmentMeta, read: &mut u64) -> Result<SegmentFile, StoreError> {
         self.read(&self.dir.join(&meta.file), meta, read)
-            .or_else(|e| {
-                self.snapshot_gen
-                    .and_then(|g| self.load_retired(meta, g, read))
-                    .ok_or(e)
+            .or_else(|e| match self.snapshot_gen {
+                Some(g) => self.load_retired(meta, g, read)?.ok_or(e),
+                None => Err(e),
             })
     }
 
@@ -590,12 +598,28 @@ impl Source<'_> {
     /// `g` needs is the one moved aside by the *earliest* commit after
     /// `g` that touched the file, so candidate directories are walked in
     /// ascending generation order. Every candidate is validated against
-    /// the pinned manifest entry before being served.
-    fn load_retired(&self, meta: &SegmentMeta, pinned: u64, read: &mut u64) -> Option<SegmentFile> {
-        durable::retired_generations(&**self.fs, self.dir)
-            .iter()
-            .filter(|(g, _)| *g > pinned)
-            .find_map(|(_, gen_dir)| self.read(&gen_dir.join(&meta.file), meta, read).ok())
+    /// the pinned manifest entry before being served. A directory is
+    /// passed over only for not holding this version (no such file, or
+    /// one that fails validation); a copy that cannot be read is an
+    /// error, or the caller would take the segment for gone and the
+    /// tolerant executor would answer without its rows.
+    fn load_retired(
+        &self,
+        meta: &SegmentMeta,
+        pinned: u64,
+        read: &mut u64,
+    ) -> Result<Option<SegmentFile>, StoreError> {
+        for (g, gen_dir) in durable::retired_generations(&**self.fs, self.dir) {
+            if g <= pinned {
+                continue;
+            }
+            match self.read(&gen_dir.join(&meta.file), meta, read) {
+                Ok(seg) => return Ok(Some(seg)),
+                Err(e) if quarantineable(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -1497,9 +1521,13 @@ impl Store {
         self.registry.observe(self.metrics.scan_us, stats.scan_us);
     }
 
-    /// Streams every matching row, in (shard, seq, row) order — i.e. each
-    /// logical shard's stream order, shard by shard. `visit` runs once per
-    /// matching row.
+    /// Streams every matching row, in (shard, seq, row) order: each
+    /// logical shard's chain, shard by shard, then the tails in commit
+    /// order. A shard's stream is therefore contiguous only in a
+    /// compacted store; what holds always is the order per (peer, prefix)
+    /// pair — its chain rows, then its tail rows, each in arrival order —
+    /// which is all the classifier-derived statistics depend on. `visit`
+    /// runs once per matching row.
     pub fn scan<F>(&mut self, query: &Query, visit: F) -> Result<ScanStats, StoreError>
     where
         F: FnMut(&StoredEvent),
@@ -1509,7 +1537,7 @@ impl Store {
     }
 
     /// [`Store::scan`] over the whole store: replays every stored event
-    /// in shard order, the order store-backed report reconstruction uses.
+    /// in scan order, the order store-backed report reconstruction uses.
     pub fn replay<F>(&mut self, visit: F) -> Result<ScanStats, StoreError>
     where
         F: FnMut(&StoredEvent),
@@ -1720,6 +1748,80 @@ mod tests {
         assert!(!Query::default()
             .time_range_ms(1_001, u64::MAX)
             .covers_time(&seg));
+    }
+
+    /// A pinned reader whose segment was displaced must not take a
+    /// retired copy it cannot *read* for one that is *gone*: the
+    /// tolerant executor skips segments that are gone, and would answer
+    /// short. Whatever single read of a pinned scan fails, the scan
+    /// answers in full or surfaces that failure.
+    #[test]
+    fn a_pinned_scan_hit_by_a_read_error_answers_in_full_or_fails() {
+        use crate::live::{LiveOptions, LiveStore};
+        use iri_core::input::PeerKey;
+        use iri_faults::{FaultPlan, FaultyFs};
+
+        let dir = std::env::temp_dir().join(format!(
+            "iri-query-test-{}-pinned-read-error",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let batch = |round: u32| -> Vec<StoredEvent> {
+            let row = |i: u32| StoredEvent {
+                time_ms: u64::from(round * 1_000 + i),
+                peer: PeerKey {
+                    asn: Asn(701 + i % 5),
+                    addr: std::net::Ipv4Addr::new(192, 41, 177, 1),
+                },
+                prefix: Prefix::from_raw(0xc100_0000 + (((round * 7 + i) % 97) << 8), 24),
+                class: UpdateClass::ALL[i as usize % UpdateClass::COUNT],
+                cause: Cause::Unknown,
+                policy_change: false,
+                size: 4,
+            };
+            (0..60).map(row).collect()
+        };
+        let opts = LiveOptions {
+            create_segment_rows: Some(8),
+            ..LiveOptions::default()
+        };
+        let live = LiveStore::open_with(&dir, &opts).unwrap();
+        live.append_events(&batch(0)).unwrap();
+        live.compact(8).unwrap();
+        live.append_events(&batch(1)).unwrap();
+        // The pin holds chains and a tail; the compaction after it
+        // displaces the tail and every chain end that receives rows.
+        let pin = live.snapshot();
+        live.append_events(&batch(2)).unwrap();
+        live.compact(8).unwrap();
+
+        let scan = |fs: SharedFs, strict: bool| {
+            let manifest = pin.manifest().clone();
+            let mut store = Store::pinned_snapshot(&dir, fs, manifest, SegmentCache::new());
+            store.strict = strict;
+            let mut rows = 0u64;
+            let stats = store.scan(&Query::default(), |_| rows += 1)?;
+            Ok::<_, StoreError>((rows, stats.segments_quarantined))
+        };
+        let counting = Arc::new(FaultyFs::counting());
+        assert_eq!(scan(counting.clone(), true).unwrap(), (120, 0));
+        let ops = counting.ops();
+        let segments = pin.manifest().segments.len() as u64;
+        assert!(ops > segments, "no load went to the retired tree");
+        for op in 0..ops {
+            for strict in [false, true] {
+                let plan = FaultPlan::new().transient_error_at(op);
+                match scan(Arc::new(FaultyFs::new(plan)), strict) {
+                    Ok(answer) => assert_eq!(answer, (120, 0), "op {op}, strict {strict}"),
+                    Err(StoreError::Io { source, .. }) => {
+                        assert_eq!(source.kind(), io::ErrorKind::TimedOut, "op {op}");
+                    }
+                    Err(e) => panic!("op {op}, strict {strict}: {e}"),
+                }
+            }
+        }
+        drop(pin);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Columnar segment encoding.
 //!
 //! One segment holds up to `segment_rows` events of one logical shard, in
-//! stream order. The file is self-contained (dictionaries travel with the
-//! segment) and immutable once written:
+//! stream order — or, as a tail (shard [`crate::TAIL_SHARD`]), one live
+//! append's whole batch in arrival order, every shard mixed, until
+//! compaction folds it into the chains. The file is self-contained
+//! (dictionaries travel with the segment) and immutable once written:
 //!
 //! ```text
 //! "IRSG" | version u16 | shard u16 | rows u32

@@ -8,9 +8,13 @@ use iri_bgp::path::AsPath;
 use iri_bgp::types::{Asn, Prefix};
 use iri_core::input::PeerKey;
 use iri_core::taxonomy::UpdateClass;
+use iri_faults::FaultyFs;
 use iri_mrt::{Bgp4mpMessage, MrtReader, MrtRecord, MrtWriter};
 use iri_obs::cause::Cause;
-use iri_store::{nlri_wire_bytes, LiveOptions, LiveStore, Query, Store, StoredEvent};
+use iri_store::{
+    logical_shard, nlri_wire_bytes, LiveOptions, LiveStore, Query, Store, StoredEvent,
+    LOGICAL_SHARDS,
+};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -130,6 +134,17 @@ fn scan_all(store: &mut Store) -> Vec<StoredEvent> {
     rows
 }
 
+/// Scan output grouped by logical shard, order kept: the per-shard row
+/// streams, which are what compaction preserves (tails scan after the
+/// chains until it folds them in).
+fn shard_streams(rows: &[StoredEvent]) -> Vec<Vec<StoredEvent>> {
+    let mut streams = vec![Vec::new(); LOGICAL_SHARDS];
+    for r in rows {
+        streams[logical_shard(r.peer.asn, r.prefix)].push(*r);
+    }
+    streams
+}
+
 #[test]
 fn append_advances_generation_and_serves_new_rows() {
     let dir = temp_store_dir("append");
@@ -194,7 +209,7 @@ fn pinned_reader_survives_compaction_and_gc_reclaims() {
     // A fresh snapshot of the compacted generation sees the same rows:
     // compaction preserves each shard's row stream.
     let mut fresh = live.snapshot();
-    assert_eq!(scan_all(&mut fresh), before);
+    assert_eq!(shard_streams(&scan_all(&mut fresh)), shard_streams(&before));
     drop(fresh);
 
     // While the old pin lives, GC must not reclaim; afterwards it must.
@@ -290,6 +305,9 @@ fn cache_keeps_pinned_and_new_generations_apart_across_name_reuse() {
     old_rows.extend(batch(2, 150));
     live.append_events(&old_rows[..150]).unwrap();
     live.append_events(&old_rows[150..]).unwrap();
+    // Canonical names are the ones compaction reuses, so the pin must
+    // hold some: fold the tails into the chains before taking it.
+    live.compact(32).unwrap();
 
     let class = UpdateClass::ALL[1];
     let q = Query::default().class(class);
@@ -310,8 +328,9 @@ fn cache_keeps_pinned_and_new_generations_apart_across_name_reuse() {
         (0, warm.segments_scanned)
     );
 
-    // Append, then compact: every ragged chain is rewritten from seq 0,
-    // so the pinned manifest's file names now hold other bytes.
+    // Append, then compact: every chain that received rows is re-cut
+    // from its partial last segment, so those pinned file names now hold
+    // other bytes.
     let mut new_rows = old_rows.clone();
     new_rows.extend(batch(3, 150));
     live.append_events(&new_rows[300..]).unwrap();
@@ -350,6 +369,36 @@ fn cache_keeps_pinned_and_new_generations_apart_across_name_reuse() {
     assert!(live.cache_stats().hits > after_compact.hits);
 
     drop((old, new));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The cost of an append is a constant of the commit protocol, not a
+/// function of the batch: one row or ten thousand, the same counted
+/// operations and one new segment file.
+#[test]
+fn an_append_costs_the_same_operations_and_one_file_at_any_size() {
+    let seg_files = |dir: &Path| {
+        let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        paths
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .count()
+    };
+    let dir = temp_store_dir("append-ops");
+    let counting = Arc::new(FaultyFs::counting());
+    let opts = LiveOptions {
+        fs: counting.clone(),
+        create_segment_rows: Some(64),
+        ..LiveOptions::default()
+    };
+    let live = LiveStore::open_with(&dir, &opts).unwrap();
+    let mut costs = Vec::new();
+    for n in [1, 10_000] {
+        let (ops, files) = (counting.ops(), seg_files(&dir));
+        live.append_events(&batch(n, n)).unwrap();
+        costs.push(counting.ops() - ops);
+        assert_eq!(seg_files(&dir), files + 1, "{n} rows");
+    }
+    assert_eq!(costs, [15, 15]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
