@@ -116,10 +116,17 @@ benchmark/check.sh
 
 echo "==> bench_serve --smoke (concurrent serving correctness gate)"
 cargo run --release -q -p iri-bench --bin bench_serve -- --smoke --out target/BENCH_serve_smoke.json
-python3 -m json.tool target/BENCH_serve_smoke.json > /dev/null
-echo "    bench_serve smoke report is well-formed JSON"
-python3 -m json.tool BENCH_serve.json > /dev/null
-echo "    BENCH_serve.json is well-formed JSON"
+python3 - target/BENCH_serve_smoke.json BENCH_serve.json <<'EOF' || { echo "    bench_serve gates failed"; exit 1; }
+import json, sys
+for path in sys.argv[1:]:
+    r = json.load(open(path))
+    assert r['schema'] == 'bench-serve-v4', (path, r['schema'])
+    for key in ('shed', 'errors', 'wrong_answers', 'retired_dirs_left'):
+        assert r[key] == 0, (path, key, r[key])
+    assert r['replies_ok'] == r['requests_attempted'], (path, r['replies_ok'], r['requests_attempted'])
+    assert r['verified_against_offline'] is True, path
+EOF
+echo "    smoke and committed BENCH_serve.json: every request answered once, none shed, none wrong"
 
 echo "==> bench_watch --smoke (incident detection precision/recall gate)"
 cargo run --release -q -p iri-bench --bin bench_watch -- --smoke --out target/BENCH_watch_smoke.json

@@ -18,9 +18,10 @@
 //!             [--out BENCH_serve.json] [--dir target/bench_serve.store]
 //! ```
 //!
-//! `--smoke` shrinks the fleet for CI. Saturation is expected at this
-//! scale: the admission gate answers typed `Busy` beyond its queue, and
-//! clients retry; retries are reported, not hidden.
+//! `--smoke` shrinks the fleet for CI. Every request is sent once. Reads
+//! queue at the server's admission gate and writers at the store's
+//! write lock; a read still queued at the gate's deadline is shed with
+//! `Busy`, counted in `shed`, and the run asserts there are none.
 
 use iri_bench::{arg_flag, arg_str, arg_u64, write_synthetic_log, GenLogConfig};
 use iri_core::taxonomy::UpdateClass;
@@ -64,8 +65,8 @@ struct BenchReport {
     writers: u64,
     requests_attempted: u64,
     replies_ok: u64,
-    busy_retries: u64,
-    busy_abandoned: u64,
+    /// Reads answered `Busy`: still queued at the gate's deadline.
+    shed: u64,
     errors: u64,
     wrong_answers: u64,
     generations_committed: u64,
@@ -79,10 +80,9 @@ struct BenchReport {
     retired_dirs_left: u64,
     elapsed_ms: u64,
     throughput_rps: f64,
-    /// Server-side per-attempt latency of the answering *read* request
-    /// (from its plan trace) — excludes client retry loops and writer
-    /// commands, so quantiles are real service numbers, not saturated
-    /// retry envelopes or writer-lock stalls.
+    /// Server-side latency of each answered *read* (from its plan
+    /// trace), gate wait included — writer commands excluded, so
+    /// quantiles are query service numbers, not writer-lock stalls.
     latency_p50_us: u64,
     latency_p90_us: u64,
     latency_p99_us: u64,
@@ -90,21 +90,16 @@ struct BenchReport {
     /// the store's writer lock and the mid-run re-ingest, so seconds at
     /// the tail are contention, not query cost.
     write_service: Quantiles,
-    /// Client-observed end-to-end latency *including* Busy retries and
-    /// backoff sleeps (the old headline numbers; saturated by design
-    /// at this load).
-    e2e_retry: Quantiles,
-    /// Per-stage breakdowns from reply plan traces.
+    /// Client-observed round trip of every answered request, reads and
+    /// writes.
+    e2e: Quantiles,
+    /// Per-stage breakdowns of answered reads, from their plan traces.
     stage_admission: Quantiles,
     stage_pin: Quantiles,
     stage_scan: Quantiles,
     stage_cache: Quantiles,
-    /// Cumulative client-side time burned in Busy retries (ms).
-    client_busy_wait_ms: u64,
-    /// Server-side admission-gate wait accounting (ms / counts).
+    /// Cumulative server-side admission-gate wait of all reads (ms).
     server_gate_wait_ms: u64,
-    server_gate_abandoned: u64,
-    server_gate_abandon_wait_ms: u64,
     verified_against_offline: bool,
 }
 
@@ -113,31 +108,27 @@ struct BenchReport {
 struct Tally {
     attempted: u64,
     ok: u64,
-    busy_retries: u64,
-    busy_abandoned: u64,
+    shed: u64,
     errors: u64,
     wrong: u64,
-    /// End-to-end including retries (client clock).
+    /// Round trip (client clock).
     latency: Histogram,
-    /// The answering attempt alone (server plan trace), reads only.
+    /// Server plan trace total, reads only.
     service: Histogram,
-    /// The answering attempt alone, writer commands.
+    /// Server plan trace total, writer commands.
     write_service: Histogram,
-    /// Per-stage, from plan traces of OK replies.
+    /// Per-stage, from plan traces of answered reads.
     admission: Histogram,
     pin: Histogram,
     scan: Histogram,
     cache: Histogram,
-    /// Client time burned inside Busy attempts and backoff sleeps (µs).
-    busy_wait_us: u64,
 }
 
 impl Tally {
     fn fold(&mut self, t: &Tally) {
         self.attempted += t.attempted;
         self.ok += t.ok;
-        self.busy_retries += t.busy_retries;
-        self.busy_abandoned += t.busy_abandoned;
+        self.shed += t.shed;
         self.errors += t.errors;
         self.wrong += t.wrong;
         self.latency.merge(&t.latency);
@@ -147,7 +138,6 @@ impl Tally {
         self.pin.merge(&t.pin);
         self.scan.merge(&t.scan);
         self.cache.merge(&t.cache);
-        self.busy_wait_us += t.busy_wait_us;
     }
 }
 
@@ -223,7 +213,7 @@ fn wire_batch(client_id: u64, round: u64, n: u64) -> Vec<WireEvent> {
 
 type DigestMap = Mutex<HashMap<(u64, u64), String>>;
 
-/// Issues one command, retrying through `Busy` with a short backoff.
+/// Issues one command: one request, one reply.
 fn issue(
     client: &mut Client,
     cmd: Command,
@@ -233,69 +223,47 @@ fn issue(
 ) {
     tally.attempted += 1;
     let started = Instant::now();
-    for attempt in 0..200u64 {
-        let attempt_started = Instant::now();
-        match client.request(cmd.clone()) {
-            Ok(reply) => match reply.resp {
-                Response::Busy { .. } => {
-                    tally.busy_retries += 1;
-                    // Burned time: the refused attempt itself (which
-                    // includes any abandoned server-side queue wait)
-                    // plus the backoff sleep. Backoff grows so a
-                    // saturated herd spreads out instead of hammering
-                    // the gate in lockstep.
-                    tally.busy_wait_us +=
-                        u64::try_from(attempt_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    let backoff_ms = (2 + attempt / 4).min(40);
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                    tally.busy_wait_us += backoff_ms * 1_000;
-                }
-                Response::Error { .. } => {
-                    tally.errors += 1;
-                    return;
-                }
-                resp => {
-                    tally.ok += 1;
-                    tally
-                        .latency
-                        .observe(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
-                    // Writer commands (issued with `slot == None`) go to
-                    // their own histogram: their tail is writer-lock
-                    // contention, not query service time.
-                    if let Some(plan) = reply.plan {
-                        tally.admission.observe(plan.admission_wait_us);
-                        if slot.is_some() {
-                            tally.service.observe(plan.total_us);
-                            tally.pin.observe(plan.pin_us);
-                            if plan.cache_hit {
-                                tally.cache.observe(plan.exec_us);
-                            } else {
-                                tally.scan.observe(plan.exec_us);
-                            }
-                        } else {
-                            tally.write_service.observe(plan.total_us);
-                        }
+    let Ok(reply) = client.request(cmd) else {
+        tally.errors += 1;
+        return;
+    };
+    match reply.resp {
+        Response::Busy { .. } => tally.shed += 1,
+        Response::Error { .. } => tally.errors += 1,
+        resp => {
+            tally.ok += 1;
+            tally
+                .latency
+                .observe(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+            // Writer commands (issued with `slot == None`) go to their
+            // own histogram: their tail is writer-lock contention, not
+            // query service time.
+            if let Some(plan) = reply.plan {
+                if slot.is_some() {
+                    tally.admission.observe(plan.admission_wait_us);
+                    tally.service.observe(plan.total_us);
+                    tally.pin.observe(plan.pin_us);
+                    if plan.cache_hit {
+                        tally.cache.observe(plan.exec_us);
+                    } else {
+                        tally.scan.observe(plan.exec_us);
                     }
-                    if let (Some(slot), Some((generation, body))) = (slot, digest(&resp)) {
-                        let mut map = digests.lock().expect("digest map");
-                        match map.get(&(generation, slot)) {
-                            Some(seen) if *seen != body => tally.wrong += 1,
-                            Some(_) => {}
-                            None => {
-                                map.insert((generation, slot), body);
-                            }
-                        }
-                    }
-                    return;
+                } else {
+                    tally.write_service.observe(plan.total_us);
                 }
-            },
-            Err(_) => {
-                tally.errors += 1;
-                return;
+            }
+            if let (Some(slot), Some((generation, body))) = (slot, digest(&resp)) {
+                let mut map = digests.lock().expect("digest map");
+                match map.get(&(generation, slot)) {
+                    Some(seen) if *seen != body => tally.wrong += 1,
+                    Some(_) => {}
+                    None => {
+                        map.insert((generation, slot), body);
+                    }
+                }
             }
         }
     }
-    tally.busy_abandoned += 1;
 }
 
 fn main() {
@@ -330,15 +298,7 @@ fn main() {
         },
     )
     .expect("open live store");
-    // Bounded queue wait so saturated requests abandon instead of
-    // parking forever — the abandon accounting is part of the report.
-    let core = Arc::new(ServeCore::new(
-        live,
-        &ServeOptions {
-            max_queue_wait_ms: Some(250),
-            ..ServeOptions::default()
-        },
-    ));
+    let core = Arc::new(ServeCore::new(live, &ServeOptions::default()));
     let server = Server::bind(Arc::clone(&core), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
     println!(
@@ -485,24 +445,17 @@ fn main() {
         Err(_) => None,
     };
     let (cache_hits, cache_misses) = serve_stats.map_or((0, 0), |s| (s.cache_hits, s.cache_misses));
-    let (gate_wait_us, gate_abandoned, gate_abandon_wait_us) = serve_stats.map_or((0, 0, 0), |s| {
-        (
-            s.gate_wait_total_us,
-            s.gate_abandoned,
-            s.gate_abandon_wait_us,
-        )
-    });
+    let gate_wait_us = serve_stats.map_or(0, |s| s.gate_wait_total_us);
     server.shutdown();
 
     let report = BenchReport {
-        schema: "bench-serve-v3",
+        schema: "bench-serve-v4",
         clients,
         tcp_clients,
         writers: clients.div_ceil(8),
         requests_attempted: total.attempted,
         replies_ok: total.ok,
-        busy_retries: total.busy_retries,
-        busy_abandoned: total.busy_abandoned,
+        shed: total.shed,
         errors: total.errors,
         wrong_answers: total.wrong,
         generations_committed: stats.generation,
@@ -520,15 +473,12 @@ fn main() {
         latency_p90_us: total.service.quantile(0.9),
         latency_p99_us: total.service.quantile(0.99),
         write_service: Quantiles::of(&total.write_service),
-        e2e_retry: Quantiles::of(&total.latency),
+        e2e: Quantiles::of(&total.latency),
         stage_admission: Quantiles::of(&total.admission),
         stage_pin: Quantiles::of(&total.pin),
         stage_scan: Quantiles::of(&total.scan),
         stage_cache: Quantiles::of(&total.cache),
-        client_busy_wait_ms: total.busy_wait_us / 1_000,
         server_gate_wait_ms: gate_wait_us / 1_000,
-        server_gate_abandoned: gate_abandoned,
-        server_gate_abandon_wait_ms: gate_abandon_wait_us / 1_000,
         verified_against_offline: verified,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise report");
@@ -537,11 +487,11 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "  {} ok / {} attempted ({} busy retries), {} generations, \
+        "  {} ok / {} attempted ({} shed busy), {} generations, \
          read service p50 {} us, p99 {} us, write p99 {} us, {:.0} req/s",
         report.replies_ok,
         report.requests_attempted,
-        report.busy_retries,
+        report.shed,
         report.generations_committed,
         report.latency_p50_us,
         report.latency_p99_us,
@@ -550,7 +500,7 @@ fn main() {
     );
     println!(
         "  stages p50/p99 us: admit {}/{}, pin {}/{}, scan {}/{}, cache {}/{}; \
-         e2e-with-retries p99 {} us",
+         e2e p99 {} us; server gate {} ms waited in total",
         report.stage_admission.p50_us,
         report.stage_admission.p99_us,
         report.stage_pin.p50_us,
@@ -559,15 +509,8 @@ fn main() {
         report.stage_scan.p99_us,
         report.stage_cache.p50_us,
         report.stage_cache.p99_us,
-        report.e2e_retry.p99_us,
-    );
-    println!(
-        "  busy-wait: client {} ms burned retrying; server gate {} ms waited, \
-         {} abandoned ({} ms wasted)",
-        report.client_busy_wait_ms,
+        report.e2e.p99_us,
         report.server_gate_wait_ms,
-        report.server_gate_abandoned,
-        report.server_gate_abandon_wait_ms,
     );
     println!(
         "  cache {cache_hits} hits / {cache_misses} misses, {} pins, \
@@ -580,6 +523,7 @@ fn main() {
         "offline verification failed"
     );
     assert_eq!(report.errors, 0, "unexpected request errors");
+    assert_eq!(report.shed, 0, "reads shed at the admission deadline");
     assert_eq!(report.retired_dirs_left, 0, "retired space not reclaimed");
     println!("  wrote {out}");
 }

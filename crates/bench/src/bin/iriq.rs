@@ -39,10 +39,9 @@
 //! and prints the per-segment fates — pruned, zone-answered, or scanned,
 //! with the prune reason — without executing anything.
 //!
-//! In `--connect` mode a typed `Busy` refusal is retried with a growing
-//! backoff, up to `--retry-max` attempts (default 8, `0` to fail fast);
-//! `--stats` then attributes the client-side gate wait — attempts made
-//! and milliseconds burned — alongside the server's own gate counters.
+//! In `--connect` mode each command is one request: a read the server
+//! could not start within its queue deadline comes back as a typed
+//! `busy` refusal, reported on stderr with exit 2.
 //!
 //! Exit codes: 0 ok, 2 usage (also busy / shutting-down refusals), then
 //! the store taxonomy — 3 I/O, 4 corrupt, 5 quarantined/strict, 6 JSON,
@@ -55,7 +54,7 @@ use iri_core::taxonomy::UpdateClass;
 use iri_core::timeseries::detrend::log_detrend;
 use iri_core::timeseries::spectrum::{acf_spectrum, dominant_periods};
 use iri_obs::Cause;
-use iri_serve::{Client, Command, Filter, HealthBody, MetricsBody, Response, StatsBody};
+use iri_serve::{Client, Command, Filter, MetricsBody, Response, StatsBody};
 use iri_store::{PlanKind, StoreError, TAIL_SHARD};
 use std::path::Path;
 
@@ -65,8 +64,7 @@ fn usage() -> ! {
          \x20      iriq --connect HOST:PORT <ping|stats|metrics|health|info|count-by-class|...>\n\
          filters: [--from-ms A] [--to-ms B] [--day D] [--peer ASN] [--prefix P] \
          [--class NAME] [--cause NAME] [--strict] [--stats] [--explain]\n\
-         series:  --bin-ms N [--spectrum]   top-*: [--limit N]   \
-         connect: [--retry-max N]"
+         series:  --bin-ms N [--spectrum]   top-*: [--limit N]"
     );
     std::process::exit(cli::EXIT_USAGE);
 }
@@ -145,15 +143,16 @@ fn print_serve_stats(stats: &StatsBody) {
         stats.retired_dirs,
     );
     println!(
-        "[serve] cache: {} hits / {} misses ({} entries); \
-         {} requests, {} busy-rejected, {} in flight, {} queued",
+        "[serve] cache: {} hits / {} misses ({} entries); {} requests, \
+         {} reads in flight, {} queued ({} ms waited in total), {} shed busy",
         stats.cache_hits,
         stats.cache_misses,
         stats.cache_entries,
         stats.requests,
-        stats.busy_rejections,
         stats.inflight,
         stats.queued,
+        stats.gate_wait_total_us / 1_000,
+        stats.busy_rejections,
     );
     println!(
         "[serve] mutations: {} appends ({} events), {} compactions, {} retired dir(s) reclaimed",
@@ -163,39 +162,7 @@ fn print_serve_stats(stats: &StatsBody) {
         "[serve] tails: {} segment(s), {} rows awaiting compaction",
         stats.tail_segments, stats.tail_rows,
     );
-    println!(
-        "[serve] gate: {} ms waited in total, {} abandoned after waiting ({} ms wasted)",
-        stats.gate_wait_total_us / 1_000,
-        stats.gate_abandoned,
-        stats.gate_abandon_wait_us / 1_000,
-    );
     println!("{}", cli::render_cache_stats(&stats.segment_cache));
-}
-
-/// Renders the server's health surface.
-fn print_health(health: &HealthBody) {
-    println!(
-        "status: {} (generation {}, draining: {})",
-        health.status, health.generation, health.draining
-    );
-    println!(
-        "admission: {}/{} in flight, {}/{} queued",
-        health.inflight, health.max_inflight, health.queued, health.max_queue
-    );
-    println!(
-        "pins: {} active (oldest pinned {}), {} retired dir(s), {} cache entries",
-        health.active_pins,
-        health
-            .min_pinned
-            .map_or_else(|| "none".to_owned(), |g| g.to_string()),
-        health.retired_dirs,
-        health.cache_entries,
-    );
-    println!(
-        "tails: {} segment(s), {} rows awaiting compaction",
-        health.tail_segments, health.tail_rows,
-    );
-    println!("{}", cli::render_cache_stats(&health.segment_cache));
 }
 
 /// Renders the server's metrics surface: registry, slow-query log,
@@ -267,32 +234,10 @@ fn remote_main(addr: &str, args: &[String]) -> ! {
         eprintln!("iriq: connect {addr}: {e}");
         std::process::exit(3)
     });
-    // A typed `Busy` is the admission gate shedding load, not a failure:
-    // retry with the growing backoff the serve benchmark uses, bounded
-    // by `--retry-max` attempts so scripts never hang on a saturated
-    // server. The time burned here is attributed under `--stats`.
-    let retry_max = arg_u64(args, "--retry-max", 8);
-    let mut busy_retries = 0u64;
-    let mut busy_wait_us = 0u64;
-    let reply = loop {
-        let attempt_started = std::time::Instant::now();
-        let reply = client.request(command.clone()).unwrap_or_else(|e| {
-            eprintln!("iriq: {addr}: {e}");
-            std::process::exit(3)
-        });
-        match &reply.resp {
-            Response::Busy { .. } if busy_retries < retry_max => {
-                busy_wait_us = busy_wait_us.saturating_add(
-                    u64::try_from(attempt_started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                );
-                let backoff_ms = (2 + busy_retries / 4).min(40);
-                std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                busy_wait_us = busy_wait_us.saturating_add(backoff_ms * 1_000);
-                busy_retries += 1;
-            }
-            _ => break reply,
-        }
-    };
+    let reply = client.request(command).unwrap_or_else(|e| {
+        eprintln!("iriq: {addr}: {e}");
+        std::process::exit(3)
+    });
     let code = reply.resp.exit_code();
     // The query replies carry the generation they answered at and the
     // scan stats of the populating scan; remembered here so the
@@ -325,7 +270,7 @@ fn remote_main(addr: &str, args: &[String]) -> ! {
         }
         Response::Stats { stats } => print_serve_stats(&stats),
         Response::Metrics { metrics } => print_metrics(&metrics),
-        Response::Health { health } => print_health(&health),
+        Response::Health { health } => println!("{}", cli::render_health(&health)),
         Response::Counts {
             generation,
             cached,
@@ -372,11 +317,7 @@ fn remote_main(addr: &str, args: &[String]) -> ! {
         }
         Response::Appended { .. } | Response::Compacted { .. } => {}
         Response::Busy { active, queued } => {
-            eprintln!(
-                "iriq: server busy ({active} in flight, {queued} queued) after {busy_retries} \
-                 retry attempt(s), {} ms waited; raise --retry-max or retry later",
-                busy_wait_us / 1_000
-            );
+            eprintln!("iriq: server busy ({active} reads in flight, {queued} queued); retry later");
         }
         Response::ShuttingDown => eprintln!("iriq: server is shutting down"),
         Response::Error { code, message } => eprintln!("iriq: server: {message} (exit {code})"),
@@ -384,13 +325,6 @@ fn remote_main(addr: &str, args: &[String]) -> ! {
     if filter.wants_stats() && code == 0 {
         if let Some(stats) = &scan_stats {
             println!("\n{}", cli::render_scan_stats(stats));
-        }
-        if busy_retries > 0 {
-            println!(
-                "[client] admission gate: {busy_retries} busy retry attempt(s), \
-                 {} ms waited before this answer",
-                busy_wait_us / 1_000
-            );
         }
         if let Some((generation, cached)) = served_at {
             println!(

@@ -36,7 +36,7 @@
 //! restarted watch resumes where the previous process stopped instead of
 //! re-raising incidents for bins it already handled.
 
-use iri_bench::cli::QueryFilter;
+use iri_bench::cli::{self, QueryFilter};
 use iri_bench::{arg_str, arg_u64, exit_store_error, logged_to_events_with_causes, CauseBreakdown};
 use iri_core::taxonomy::UpdateClass;
 use iri_core::Classifier;
@@ -67,29 +67,7 @@ fn connect_main(addr: &str, args: &[String]) -> ! {
             std::process::exit(3)
         }
     };
-    println!(
-        "{addr}: {} — generation {}, {}/{} in flight, {}/{} queued",
-        health.status,
-        health.generation,
-        health.inflight,
-        health.max_inflight,
-        health.queued,
-        health.max_queue
-    );
-    println!(
-        "pins: {} active (oldest {}), {} retired dir(s), {} cache entries, draining: {}",
-        health.active_pins,
-        health
-            .min_pinned
-            .map_or_else(|| "none".to_owned(), |g| g.to_string()),
-        health.retired_dirs,
-        health.cache_entries,
-        health.draining,
-    );
-    println!(
-        "tails: {} segment(s), {} rows awaiting compaction",
-        health.tail_segments, health.tail_rows,
-    );
+    println!("-- {addr} --\n{}", cli::render_health(&health));
     let metrics = match client.request(Command::Metrics) {
         Ok(reply) => match reply.resp {
             Response::Metrics { metrics } => metrics,

@@ -1,6 +1,6 @@
 //! Shared command-line plumbing for every binary in this crate: flag
-//! parsing, the typed [`QueryFilter`] builder, scan-stat rendering, and
-//! the store error → exit code mapping.
+//! parsing, the typed [`QueryFilter`] builder, scan-stat and serve-health
+//! rendering, and the store error → exit code mapping.
 //!
 //! Before this module each store-facing binary (`iriq`, `mrtstat`,
 //! `tracescope`) parsed its filter flags into strings and re-derived
@@ -16,6 +16,7 @@
 //! [`EXIT_USAGE`]); store errors carry their own exit codes via
 //! [`StoreError::exit_code`].
 
+use iri_serve::HealthBody;
 use iri_store::{OpenOptions, Query, ScanStats, SegmentCacheStats, Store, StoreError};
 use std::path::Path;
 
@@ -263,6 +264,33 @@ pub fn render_cache_stats(cache: &SegmentCacheStats) -> String {
         cache.misses,
         cache.evictions,
         cache.invalidations,
+    )
+}
+
+/// Renders a live server's [`HealthBody`]: what `iriq --connect …
+/// health` and `tracescope --connect` print.
+#[must_use]
+pub fn render_health(health: &HealthBody) -> String {
+    format!(
+        "status: {} (generation {}, draining: {})\n\
+         reads: {}/{} in flight, {} queued\n\
+         pins: {} active (oldest pinned {}), {} retired dir(s), {} cache entries\n\
+         tails: {} segment(s), {} rows awaiting compaction\n{}",
+        health.status,
+        health.generation,
+        health.draining,
+        health.inflight,
+        health.max_inflight,
+        health.queued,
+        health.active_pins,
+        health
+            .min_pinned
+            .map_or_else(|| "none".to_owned(), |g| g.to_string()),
+        health.retired_dirs,
+        health.cache_entries,
+        health.tail_segments,
+        health.tail_rows,
+        render_cache_stats(&health.segment_cache),
     )
 }
 

@@ -24,15 +24,18 @@
 //!
 //! Line-delimited JSON over TCP (or the in-process transport): one
 //! [`proto::Request`] per line in, one [`proto::Reply`] per line out,
-//! correlated by id. Saturation is a typed [`proto::Response::Busy`],
-//! drain is [`proto::Response::ShuttingDown`], failures carry the store
+//! correlated by id. Reads wait for one of `max_inflight` execution
+//! slots; a read still waiting after one second is shed with a typed
+//! [`proto::Response::Busy`], the only refusal.
+//! Appends and compactions queue on the store's write lock alone. Drain
+//! is [`proto::Response::ShuttingDown`], failures carry the store
 //! exit-code taxonomy. See [`proto`] for the vocabulary.
 //!
 //! ## Pieces
 //!
 //! - [`proto`] — requests, replies, filters, wire events
 //! - [`cache`] — bounded `(generation, command)` result cache
-//! - [`service`] — admission control, pinning, execution, metrics
+//! - [`service`] — read admission, pinning, execution, metrics
 //! - [`server`] — the TCP listener (thread per connection)
 //! - [`client`] — TCP and in-process clients
 //!
@@ -54,4 +57,4 @@ pub use proto::{
     StatsBody, TopRow, WireEvent,
 };
 pub use server::Server;
-pub use service::{AdmissionGate, Permit, Refusal, ServeCore, ServeOptions};
+pub use service::{ServeCore, ServeOptions};

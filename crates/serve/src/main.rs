@@ -2,16 +2,18 @@
 //!
 //! ```sh
 //! iri-serve <dir> [--addr HOST:PORT] [--create-rows N]
-//!           [--max-inflight N] [--max-queue N] [--cache N]
-//!           [--max-wait-ms N] [--trace-cap N] [--slow-log N]
+//!           [--max-inflight N] [--cache N] [--trace-cap N] [--slow-log N]
 //! ```
 //!
 //! Binds (default `127.0.0.1:4117`), prints the bound address, then
 //! serves until stdin closes or reads a `quit` line, at which point it
 //! drains gracefully. `--create-rows N` creates an empty store with
-//! N-row segments when the directory holds none. Exit codes follow the
-//! store taxonomy (2 usage, 3 I/O, 4 corrupt, 5 quarantined, 6 JSON, 7
-//! ingest).
+//! N-row segments when the directory holds none. At most
+//! `--max-inflight` reads (default 64) execute at once; a read that
+//! waits one second for a slot is answered `Busy`.
+//! Appends and compactions wait only for the store's write lock. Exit
+//! codes follow the store taxonomy (2 usage, 3 I/O, 4 corrupt, 5
+//! quarantined, 6 JSON, 7 ingest).
 
 use iri_serve::{ServeCore, ServeOptions, Server};
 use iri_store::{LiveOptions, LiveStore};
@@ -29,8 +31,7 @@ fn arg<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T> {
 fn usage() -> ! {
     eprintln!(
         "usage: iri-serve <dir> [--addr HOST:PORT] [--create-rows N]\n\
-         \x20        [--max-inflight N] [--max-queue N] [--cache N]\n\
-         \x20        [--max-wait-ms N] [--trace-cap N] [--slow-log N]"
+         \x20        [--max-inflight N] [--cache N] [--trace-cap N] [--slow-log N]"
     );
     std::process::exit(2)
 }
@@ -44,9 +45,7 @@ fn main() {
     let defaults = ServeOptions::default();
     let opts = ServeOptions {
         max_inflight: arg(&args, "--max-inflight").unwrap_or(defaults.max_inflight),
-        max_queue: arg(&args, "--max-queue").unwrap_or(defaults.max_queue),
         cache_entries: arg(&args, "--cache").unwrap_or(defaults.cache_entries),
-        max_queue_wait_ms: arg(&args, "--max-wait-ms").or(defaults.max_queue_wait_ms),
         trace_capacity: arg(&args, "--trace-cap").unwrap_or(defaults.trace_capacity),
         slow_log_entries: arg(&args, "--slow-log").unwrap_or(defaults.slow_log_entries),
     };

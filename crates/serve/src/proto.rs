@@ -48,10 +48,10 @@ pub struct Reply {
     pub id: u64,
     /// The outcome.
     pub resp: Response,
-    /// Per-request plan trace for commands that went through the
-    /// admission gate: where the latency went (gate wait, pin, scan),
-    /// which snapshot generation answered, and how much segment work
-    /// the scan did. `None` for service verbs and unparseable lines.
+    /// Per-request plan trace for reads and mutations: where the
+    /// latency went (gate wait, pin, scan), which snapshot generation
+    /// answered, and how much segment work the scan did. `None` for
+    /// service verbs and unparseable lines.
     #[serde(default)]
     pub plan: Option<PlanTrace>,
 }
@@ -185,6 +185,14 @@ impl WireEvent {
 
     /// Lowers the wire event to the classifier's input type.
     pub fn to_update(&self) -> Result<UpdateEvent, String> {
+        // Segments delta-code event times as i64.
+        if i64::try_from(self.time_ms).is_err() {
+            return Err(format!(
+                "time_ms wants at most {}, got {}",
+                i64::MAX,
+                self.time_ms
+            ));
+        }
         let addr = self
             .peer_addr
             .parse()
@@ -259,7 +267,9 @@ pub enum Command {
         /// Row filter.
         filter: Filter,
     },
-    /// Matching rows bucketed into fixed-width time bins.
+    /// Matching rows bucketed into fixed-width time bins. A series of
+    /// more than 2^16 bins over the pinned snapshot's time span is
+    /// refused with a usage error.
     Series {
         /// Row filter.
         filter: Filter,
@@ -358,24 +368,17 @@ pub struct StatsBody {
     pub cache_misses: u64,
     /// Requests handled (all commands).
     pub requests: u64,
-    /// Requests refused because the service was saturated.
+    /// Reads answered [`Response::Busy`]: still waiting for a slot at
+    /// their deadline.
     pub busy_rejections: u64,
-    /// Requests executing right now.
+    /// Reads executing right now.
     pub inflight: u64,
-    /// Requests waiting for an execution slot.
+    /// Reads waiting for an execution slot.
     pub queued: u64,
-    /// Cumulative microseconds all admitted or refused requests spent
+    /// Cumulative microseconds all reads, answered or shed, spent
     /// waiting at the admission gate.
     #[serde(default)]
     pub gate_wait_total_us: u64,
-    /// Requests that waited in the bounded queue and then gave up when
-    /// the configured wait limit elapsed (answered [`Response::Busy`]).
-    #[serde(default)]
-    pub gate_abandoned: u64,
-    /// Cumulative microseconds burned by those abandoned waits — gate
-    /// time that produced no answer.
-    #[serde(default)]
-    pub gate_abandon_wait_us: u64,
     /// The live store's segment cache: entries, resident bytes, hits,
     /// misses, evictions, invalidations (zeros from older servers).
     #[serde(default)]
@@ -427,7 +430,8 @@ pub struct MetricsBody {
 /// limits is it. Answered even while draining.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthBody {
-    /// `"ok"`, `"draining"`, or `"saturated"`.
+    /// `"ok"`, `"draining"`, or `"saturated"` (reads are queued at a
+    /// full gate).
     pub status: String,
     /// Current committed generation.
     pub generation: u64,
@@ -435,14 +439,12 @@ pub struct HealthBody {
     pub active_pins: u64,
     /// Oldest pinned generation, if any snapshot is live.
     pub min_pinned: Option<u64>,
-    /// Requests executing right now.
+    /// Reads executing right now.
     pub inflight: u64,
-    /// Requests waiting for an execution slot.
+    /// Reads waiting for an execution slot.
     pub queued: u64,
-    /// Execution-slot limit.
+    /// Read execution-slot limit.
     pub max_inflight: u64,
-    /// Queue-depth limit.
-    pub max_queue: u64,
     /// Whether a drain has begun.
     pub draining: bool,
     /// Retired generation directories awaiting reclamation.
@@ -551,11 +553,11 @@ pub enum Response {
         /// Segment files after.
         segments_after: u64,
     },
-    /// The service is saturated; retry later.
+    /// A read waited its deadline for an execution slot and was shed.
     Busy {
-        /// Requests executing.
+        /// Reads executing.
         active: u64,
-        /// Requests already queued.
+        /// Reads still queued.
         queued: u64,
     },
     /// The service is draining; no new work is accepted.
@@ -692,7 +694,6 @@ mod tests {
                     inflight: 3,
                     queued: 0,
                     max_inflight: 64,
-                    max_queue: 256,
                     draining: false,
                     retired_dirs: 0,
                     cache_entries: 5,
@@ -719,8 +720,6 @@ mod tests {
         .unwrap();
         assert_eq!(body.requests, 7);
         assert_eq!(body.gate_wait_total_us, 0);
-        assert_eq!(body.gate_abandoned, 0);
-        assert_eq!(body.gate_abandon_wait_us, 0);
         assert_eq!((body.tail_segments, body.tail_rows), (0, 0));
     }
 
@@ -768,5 +767,12 @@ mod tests {
         assert!(WireEvent::announce(0, 1, "nope", "10.0.0.0/8")
             .to_update()
             .is_err());
+        // A time the segment codec cannot delta-code is refused here,
+        // not committed as a tail no scan can read back.
+        assert!(
+            WireEvent::announce(u64::MAX, 1, "192.41.177.1", "10.0.0.0/8")
+                .to_update()
+                .is_err()
+        );
     }
 }

@@ -5,14 +5,22 @@
 //! and the in-process client are both thin shells around it:
 //!
 //! ```text
-//! parse → admit (or Busy) → pin snapshot → cache get → scan → cache put
+//! read:  parse → admit (or Busy at the deadline) → pin snapshot → cache get → scan → cache put
+//! write: parse → store write lock → commit
 //! ```
+//!
+//! Each resource has one queue. Reads wait for an execution slot at the
+//! admission gate, and a read still waiting after one second is answered
+//! [`Response::Busy`]:
+//! that is the service's only refusal. Appends and compactions skip the
+//! gate and wait only on the [`LiveStore`] write lock, which already
+//! orders them.
 //!
 //! Every stage is metered through an [`iri_obs::Registry`]: request and
 //! busy counters, cache hit/miss counters, gate-wait and pin/exec
 //! latency histograms, plus the pooled per-request [`PlanTrace`]
-//! aggregates. Each gated request additionally opens strictly nested
-//! spans (`request` → `admit` → `pin`/`scan`) in a bounded
+//! aggregates. Each request past the service verbs additionally opens
+//! strictly nested spans (`request` → `admit` → `pin`/`scan`) in a bounded
 //! [`Tracer`] stamped with the request sequence number (the service's
 //! virtual clock — never the wall clock), and its flattened
 //! [`PlanTrace`] rides back on the reply and feeds a top-K slow-query
@@ -40,15 +48,10 @@ use std::time::{Duration, Instant};
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Requests allowed to execute concurrently.
+    /// Reads allowed to execute concurrently.
     pub max_inflight: usize,
-    /// Requests allowed to wait for a slot before `Busy` is returned.
-    pub max_queue: usize,
     /// Result-cache capacity in responses (0 disables caching).
     pub cache_entries: usize,
-    /// Longest a request may wait in the admission queue before it
-    /// abandons and is answered `Busy` (`None` waits indefinitely).
-    pub max_queue_wait_ms: Option<u64>,
     /// Span/trace ring-buffer capacity in events (0 disables tracing).
     pub trace_capacity: usize,
     /// Slow-query log size: the K worst requests by total latency
@@ -60,14 +63,21 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             max_inflight: 64,
-            max_queue: 256,
             cache_entries: 256,
-            max_queue_wait_ms: None,
             trace_capacity: 4096,
             slow_log_entries: 16,
         }
     }
 }
+
+/// Longest a read may wait for an execution slot before it is answered
+/// [`Response::Busy`].
+const READ_QUEUE_DEADLINE: Duration = Duration::from_millis(1_000);
+
+/// Series replies larger than this many bins are refused as usage
+/// errors before anything is allocated for them: 512 KiB of counters per
+/// reply, and at most `cache_entries` times that held by the result cache.
+const MAX_SERIES_BINS: u64 = 1 << 16;
 
 #[derive(Debug, Default)]
 struct GateState {
@@ -75,36 +85,30 @@ struct GateState {
     queued: usize,
 }
 
-/// Counting semaphore with a bounded wait queue: up to `max_inflight`
-/// permits outstanding, up to `max_queue` waiters blocked for one;
-/// beyond that [`AdmissionGate::admit`] refuses immediately so a
-/// saturated service degrades to fast typed `Busy` replies instead of
-/// unbounded queueing.
+/// Counting semaphore for reads: up to `max_inflight` permits
+/// outstanding; later callers wait on a condvar until a permit frees or
+/// their deadline passes.
 #[derive(Debug)]
-pub struct AdmissionGate {
+struct AdmissionGate {
     state: Mutex<GateState>,
     freed: Condvar,
     max_inflight: usize,
-    max_queue: usize,
 }
 
-/// Why [`AdmissionGate::admit_timed`] refused a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Refusal {
-    /// Requests executing at refusal time.
-    pub active: u64,
-    /// Requests queued at refusal time.
-    pub queued: u64,
-    /// `true` when the request waited in the queue and gave up at the
-    /// wait limit; `false` when the full queue turned it away at once.
-    pub abandoned: bool,
-    /// How long the request waited before being refused.
-    pub waited: Duration,
+/// A read whose deadline passed before a slot freed.
+#[derive(Debug)]
+struct Refusal {
+    /// Reads executing at refusal time.
+    active: u64,
+    /// Reads still queued at refusal time.
+    queued: u64,
+    /// How long the read waited.
+    waited: Duration,
 }
 
 /// RAII execution slot; dropping it wakes one queued waiter.
 #[derive(Debug)]
-pub struct Permit<'a> {
+struct Permit<'a> {
     gate: &'a AdmissionGate,
 }
 
@@ -118,15 +122,11 @@ impl Drop for Permit<'_> {
 }
 
 impl AdmissionGate {
-    /// A gate admitting `max_inflight` concurrent holders and queueing
-    /// at most `max_queue` more.
-    #[must_use]
-    pub fn new(max_inflight: usize, max_queue: usize) -> Self {
+    fn new(max_inflight: usize) -> Self {
         AdmissionGate {
             state: Mutex::new(GateState::default()),
             freed: Condvar::new(),
             max_inflight,
-            max_queue,
         }
     }
 
@@ -136,68 +136,33 @@ impl AdmissionGate {
             .unwrap_or_else(|_| panic!("admission gate lock poisoned"))
     }
 
-    /// Takes an execution slot, blocking in the bounded queue when the
-    /// service is full. `Err((active, queued))` means the queue is full
-    /// too and the caller should answer `Busy`.
-    pub fn admit(&self) -> Result<Permit<'_>, (u64, u64)> {
-        self.admit_timed(None)
-            .map(|(permit, _waited)| permit)
-            .map_err(|r| (r.active, r.queued))
-    }
-
-    /// [`AdmissionGate::admit`] with wait attribution and an optional
-    /// bound on queue time. On success the returned [`Duration`] is how
-    /// long the caller waited for its slot; on refusal the [`Refusal`]
-    /// says whether the request was turned away at the door
-    /// (`abandoned: false`, full queue) or gave up after waiting
-    /// `max_wait` in the queue (`abandoned: true`).
-    pub fn admit_timed(
-        &self,
-        max_wait: Option<Duration>,
-    ) -> Result<(Permit<'_>, Duration), Refusal> {
+    /// Takes an execution slot, waiting at most `max_wait` for one. On
+    /// success the [`Duration`] is how long the caller waited.
+    fn admit(&self, max_wait: Duration) -> Result<(Permit<'_>, Duration), Refusal> {
         let started = Instant::now();
         let mut s = self.lock();
         if s.active >= self.max_inflight {
-            if s.queued >= self.max_queue {
-                return Err(Refusal {
-                    active: s.active as u64,
-                    queued: s.queued as u64,
-                    abandoned: false,
-                    waited: started.elapsed(),
-                });
-            }
             s.queued += 1;
             while s.active >= self.max_inflight {
-                match max_wait {
-                    None => {
-                        s = self
-                            .freed
-                            .wait(s)
-                            .unwrap_or_else(|_| panic!("admission gate lock poisoned"));
-                    }
-                    Some(limit) => {
-                        let elapsed = started.elapsed();
-                        if elapsed >= limit {
-                            s.queued -= 1;
-                            let refusal = Refusal {
-                                active: s.active as u64,
-                                queued: s.queued as u64,
-                                abandoned: true,
-                                waited: elapsed,
-                            };
-                            drop(s);
-                            // Pass along any wakeup this waiter may have
-                            // absorbed, or a sibling could stall.
-                            self.freed.notify_one();
-                            return Err(refusal);
-                        }
-                        let (guard, _timed_out) = self
-                            .freed
-                            .wait_timeout(s, limit - elapsed)
-                            .unwrap_or_else(|_| panic!("admission gate lock poisoned"));
-                        s = guard;
-                    }
+                let elapsed = started.elapsed();
+                if elapsed >= max_wait {
+                    s.queued -= 1;
+                    let refusal = Refusal {
+                        active: s.active as u64,
+                        queued: s.queued as u64,
+                        waited: elapsed,
+                    };
+                    drop(s);
+                    // Pass along any wakeup this waiter may have
+                    // absorbed, or a sibling could stall.
+                    self.freed.notify_one();
+                    return Err(refusal);
                 }
+                s = self
+                    .freed
+                    .wait_timeout(s, max_wait - elapsed)
+                    .unwrap_or_else(|_| panic!("admission gate lock poisoned"))
+                    .0;
             }
             s.queued -= 1;
         }
@@ -206,8 +171,7 @@ impl AdmissionGate {
     }
 
     /// Current `(active, queued)` occupancy.
-    #[must_use]
-    pub fn occupancy(&self) -> (u64, u64) {
+    fn occupancy(&self) -> (u64, u64) {
         let s = self.lock();
         (s.active as u64, s.queued as u64)
     }
@@ -227,13 +191,11 @@ struct Meters {
     exec_us: HistogramId,
     gate_wait_us: HistogramId,
     gate_wait_total_us: CounterId,
-    gate_abandoned: CounterId,
-    gate_abandon_wait_us: CounterId,
 }
 
 /// The service: one [`LiveStore`], one stateful classifier for
-/// server-side appends, one result cache, one admission gate, one
-/// bounded span tracer, one slow-query log.
+/// server-side appends, one result cache, one admission gate for reads,
+/// one bounded span tracer, one slow-query log.
 pub struct ServeCore {
     live: LiveStore,
     classifier: Mutex<Classifier>,
@@ -247,7 +209,6 @@ pub struct ServeCore {
     seq: AtomicU64,
     opts: ServeOptions,
     draining: AtomicBool,
-    busy_rejections: Mutex<u64>,
 }
 
 impl std::fmt::Debug for ServeCore {
@@ -277,15 +238,13 @@ impl ServeCore {
             exec_us: registry.histogram("serve.exec_us"),
             gate_wait_us: registry.histogram("serve.gate_wait_us"),
             gate_wait_total_us: registry.counter("serve.gate_wait_total_us"),
-            gate_abandoned: registry.counter("serve.gate_abandoned"),
-            gate_abandon_wait_us: registry.counter("serve.gate_abandon_wait_us"),
         };
         let plan_meters = PlanMeters::register(&mut registry, "serve.plan");
         ServeCore {
             live,
             classifier: Mutex::new(Classifier::new()),
             cache: ResultCache::new(opts.cache_entries),
-            gate: AdmissionGate::new(opts.max_inflight, opts.max_queue),
+            gate: AdmissionGate::new(opts.max_inflight),
             registry: Mutex::new(registry),
             meters,
             plan_meters,
@@ -298,7 +257,6 @@ impl ServeCore {
             seq: AtomicU64::new(0),
             opts: *opts,
             draining: AtomicBool::new(false),
-            busy_rejections: Mutex::new(0),
         }
     }
 
@@ -417,74 +375,77 @@ impl ServeCore {
                 },
                 None,
             ),
-            cmd => self.gated(cmd),
+            cmd => self.traced(cmd),
         }
     }
 
-    /// The gated pipeline: one request span, a timed admission, then
-    /// execution with a threaded [`PlanTrace`]. The trace rides back on
-    /// the reply (Busy refusals included — their plan attributes the
-    /// wasted gate wait) and is pooled into the registry and the
-    /// slow-query log for answered requests.
-    fn gated(&self, cmd: Command) -> (Response, Option<PlanTrace>) {
+    /// The traced pipeline: one request span; for reads, a bounded wait
+    /// at the admission gate; then execution with a threaded
+    /// [`PlanTrace`]. Appends and compactions skip the gate — the store's
+    /// write lock is their queue. The trace rides back on the reply
+    /// (`Busy` included — its plan attributes the wait) and is pooled
+    /// into the registry and the slow-query log for executed requests.
+    fn traced(&self, cmd: Command) -> (Response, Option<PlanTrace>) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let started = Instant::now();
         let mut plan = PlanTrace::default();
         let mut spans = SpanStack::new();
         let req_span = self.span_open(&mut spans, seq, "request");
-        let admit_span = self.span_open(&mut spans, seq, "admit");
-        let max_wait = self.opts.max_queue_wait_ms.map(Duration::from_millis);
-        match self.gate.admit_timed(max_wait) {
-            Err(refusal) => {
-                let waited_us = dur_us(refusal.waited);
-                plan.admission_wait_us = waited_us;
-                self.span_close(&mut spans, seq, admit_span, waited_us);
-                plan.total_us = dur_us(started.elapsed());
-                self.span_close(&mut spans, seq, req_span, plan.total_us);
-                self.count(self.meters.busy);
-                *Self::lock(&self.busy_rejections, "busy counter") += 1;
-                {
-                    let mut reg = Self::lock(&self.registry, "registry");
-                    reg.observe(self.meters.gate_wait_us, waited_us);
-                    reg.add(self.meters.gate_wait_total_us, waited_us);
-                    if refusal.abandoned {
-                        reg.inc(self.meters.gate_abandoned);
-                        reg.add(self.meters.gate_abandon_wait_us, waited_us);
-                    }
-                }
-                (
-                    Response::Busy {
+        let permit = match cmd {
+            Command::Append { .. } | Command::Compact { .. } => None,
+            _ => match self.admit(&mut plan, &mut spans, seq) {
+                Ok(permit) => Some(permit),
+                Err(refusal) => {
+                    plan.total_us = dur_us(started.elapsed());
+                    self.span_close(&mut spans, seq, req_span, plan.total_us);
+                    let busy = Response::Busy {
                         active: refusal.active,
                         queued: refusal.queued,
-                    },
-                    Some(plan),
-                )
-            }
-            Ok((permit, waited)) => {
-                let waited_us = dur_us(waited);
-                plan.admission_wait_us = waited_us;
-                self.span_close(&mut spans, seq, admit_span, waited_us);
-                {
-                    let mut reg = Self::lock(&self.registry, "registry");
-                    reg.observe(self.meters.gate_wait_us, waited_us);
-                    reg.add(self.meters.gate_wait_total_us, waited_us);
+                    };
+                    return (busy, Some(plan));
                 }
-                let cmd_desc = cmd_label(&cmd);
-                let resp = self.execute(cmd, &mut plan, &mut spans, seq);
-                drop(permit);
-                if matches!(resp, Response::Error { .. }) {
-                    self.count(self.meters.errors);
-                }
-                plan.total_us = dur_us(started.elapsed());
-                self.span_close(&mut spans, seq, req_span, plan.total_us);
-                {
-                    let mut reg = Self::lock(&self.registry, "registry");
-                    self.plan_meters.observe(&mut reg, &plan);
-                }
-                self.note_slow(cmd_desc, seq, &plan);
-                (resp, Some(plan))
-            }
+            },
+        };
+        let cmd_desc = cmd_label(&cmd);
+        let resp = self.execute(cmd, &mut plan, &mut spans, seq);
+        drop(permit);
+        if matches!(resp, Response::Error { .. }) {
+            self.count(self.meters.errors);
         }
+        plan.total_us = dur_us(started.elapsed());
+        self.span_close(&mut spans, seq, req_span, plan.total_us);
+        {
+            let mut reg = Self::lock(&self.registry, "registry");
+            self.plan_meters.observe(&mut reg, &plan);
+        }
+        self.note_slow(cmd_desc, seq, &plan);
+        (resp, Some(plan))
+    }
+
+    /// Waits at the gate for a read slot, attributing the wait to the
+    /// plan, the `admit` span and the gate meters, and counting a read
+    /// still waiting at the deadline as busy.
+    fn admit(
+        &self,
+        plan: &mut PlanTrace,
+        spans: &mut SpanStack,
+        seq: u64,
+    ) -> Result<Permit<'_>, Refusal> {
+        let admit_span = self.span_open(spans, seq, "admit");
+        let admitted = self.gate.admit(READ_QUEUE_DEADLINE);
+        let waited = match &admitted {
+            Ok((_, waited)) => *waited,
+            Err(refusal) => refusal.waited,
+        };
+        plan.admission_wait_us = dur_us(waited);
+        self.span_close(spans, seq, admit_span, plan.admission_wait_us);
+        let mut reg = Self::lock(&self.registry, "registry");
+        reg.observe(self.meters.gate_wait_us, plan.admission_wait_us);
+        reg.add(self.meters.gate_wait_total_us, plan.admission_wait_us);
+        if admitted.is_err() {
+            reg.inc(self.meters.busy);
+        }
+        admitted.map(|(permit, _)| permit)
     }
 
     fn note_slow(&self, cmd: String, seq: u64, plan: &PlanTrace) {
@@ -529,9 +490,7 @@ impl ServeCore {
         let cache = self.cache.stats();
         let (inflight, queued) = self.gate.occupancy();
         let draining = self.is_draining();
-        let saturated = self.opts.max_inflight > 0
-            && inflight >= self.opts.max_inflight as u64
-            && queued >= self.opts.max_queue as u64;
+        let saturated = queued > 0 && inflight >= self.opts.max_inflight as u64;
         let status = if draining {
             "draining"
         } else if saturated {
@@ -547,7 +506,6 @@ impl ServeCore {
             inflight,
             queued,
             max_inflight: self.opts.max_inflight as u64,
-            max_queue: self.opts.max_queue as u64,
             draining,
             retired_dirs: live.retired_dirs,
             cache_entries: cache.entries,
@@ -582,7 +540,6 @@ impl ServeCore {
         let live = self.live.stats();
         let cache = self.cache.stats();
         let (inflight, queued) = self.gate.occupancy();
-        let requests = self.counter_value("serve.requests");
         StatsBody {
             generation: live.generation,
             active_pins: live.active_pins,
@@ -596,13 +553,11 @@ impl ServeCore {
             cache_entries: cache.entries,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            requests,
-            busy_rejections: *Self::lock(&self.busy_rejections, "busy counter"),
+            requests: self.counter_value("serve.requests"),
+            busy_rejections: self.counter_value("serve.busy"),
             inflight,
             queued,
             gate_wait_total_us: self.counter_value("serve.gate_wait_total_us"),
-            gate_abandoned: self.counter_value("serve.gate_abandoned"),
-            gate_abandon_wait_us: self.counter_value("serve.gate_abandon_wait_us"),
             segment_cache: self.live.cache_stats(),
             tail_segments: live.tail_segments,
             tail_rows: live.tail_rows,
@@ -863,16 +818,25 @@ fn run_query(snap: &mut Snapshot, generation: u64, cmd: Command) -> Response {
             },
             Err(e) => store_error(&e),
         },
-        Command::Series { bin_ms, .. } => match snap.time_series(&q, bin_ms) {
-            Ok((bins, stats)) => Response::Series {
-                generation,
-                cached: false,
-                bin_ms,
-                bins,
-                stats,
-            },
-            Err(e) => store_error(&e),
-        },
+        Command::Series { bin_ms, .. } => {
+            let (_, bins) = snap.manifest().series_bins(&q, bin_ms);
+            if bins > MAX_SERIES_BINS {
+                return usage_error(format!(
+                    "series of {bins} bins exceeds the {MAX_SERIES_BINS}-bin limit; \
+                     widen bin_ms or narrow the time range"
+                ));
+            }
+            match snap.time_series(&q, bin_ms) {
+                Ok((bins, stats)) => Response::Series {
+                    generation,
+                    cached: false,
+                    bin_ms,
+                    bins,
+                    stats,
+                },
+                Err(e) => store_error(&e),
+            }
+        }
         _ => usage_error("not a query command".to_owned()),
     }
 }
@@ -885,52 +849,13 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn gate_admits_up_to_inflight_then_queues_then_refuses() {
-        let gate = Arc::new(AdmissionGate::new(1, 1));
-        let p1 = gate.admit().expect("first slot");
+    fn gate_queues_past_inflight_until_a_slot_frees() {
+        let gate = Arc::new(AdmissionGate::new(1));
+        let (p1, _) = gate.admit(Duration::ZERO).expect("first slot");
         assert_eq!(gate.occupancy(), (1, 0));
         let g2 = Arc::clone(&gate);
         let waiter = thread::spawn(move || {
-            let _p = g2.admit().expect("queued slot");
-        });
-        // Wait for the spawned thread to join the queue, then the next
-        // admit must refuse with the live occupancy.
-        while gate.occupancy().1 == 0 {
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(gate.admit().unwrap_err(), (1, 1));
-        drop(p1);
-        waiter.join().expect("waiter exits");
-        assert_eq!(gate.occupancy(), (0, 0));
-    }
-
-    #[test]
-    fn timed_admit_abandons_after_the_wait_limit() {
-        let gate = AdmissionGate::new(1, 4);
-        let _held = gate.admit().unwrap();
-        let refusal = gate
-            .admit_timed(Some(Duration::from_millis(5)))
-            .expect_err("slot never frees");
-        assert!(
-            refusal.abandoned,
-            "queued waiter should give up: {refusal:?}"
-        );
-        assert!(
-            refusal.waited >= Duration::from_millis(5),
-            "abandon reports the time actually burned: {:?}",
-            refusal.waited
-        );
-        // The abandoned waiter must have left the queue.
-        assert_eq!(gate.occupancy(), (1, 0));
-    }
-
-    #[test]
-    fn timed_admit_attributes_queue_wait_on_success() {
-        let gate = Arc::new(AdmissionGate::new(1, 4));
-        let p1 = gate.admit().unwrap();
-        let g2 = Arc::clone(&gate);
-        let waiter = thread::spawn(move || {
-            let (permit, waited) = g2.admit_timed(None).expect("eventually admitted");
+            let (permit, waited) = g2.admit(Duration::from_secs(60)).expect("queued slot");
             drop(permit);
             waited
         });
@@ -944,23 +869,21 @@ mod tests {
             waited >= Duration::from_millis(5),
             "success reports queue time: {waited:?}"
         );
-        // An immediate refusal (full queue, no waiting allowed) is not
-        // an abandon.
-        let gate = AdmissionGate::new(0, 0);
-        let refusal = gate.admit_timed(Some(Duration::from_secs(1))).unwrap_err();
-        assert!(!refusal.abandoned);
+        assert_eq!(gate.occupancy(), (0, 0), "permits release on drop");
     }
 
     #[test]
-    fn permits_release_on_drop() {
-        let gate = AdmissionGate::new(2, 0);
-        let a = gate.admit().unwrap();
-        let b = gate.admit().unwrap();
-        assert!(gate.admit().is_err());
-        drop(a);
-        let c = gate.admit().unwrap();
-        drop(b);
-        drop(c);
-        assert_eq!(gate.occupancy(), (0, 0));
+    fn a_waiter_leaves_the_queue_at_its_deadline() {
+        let gate = AdmissionGate::new(1);
+        let _held = gate.admit(Duration::ZERO).expect("first slot");
+        let refusal = gate
+            .admit(Duration::from_millis(5))
+            .expect_err("slot never frees");
+        assert!(
+            refusal.waited >= Duration::from_millis(5),
+            "the refusal reports the time waited: {refusal:?}"
+        );
+        assert_eq!((refusal.active, refusal.queued), (1, 0));
+        assert_eq!(gate.occupancy(), (1, 0));
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end service tests: protocol round trips over both transports,
-//! cache behavior across generations, admission control, graceful
-//! drain, the exit-code taxonomy, and a thread-stress run proving
-//! concurrent clients always read exactly one consistent generation
-//! while mutators commit underneath them.
+//! cache behavior across generations, plan traces, graceful drain, the
+//! exit-code taxonomy, and a thread-stress run proving concurrent
+//! clients always read exactly one consistent generation while mutators
+//! commit underneath them. Admission is `tests/serve_admission.rs` at
+//! the workspace root.
 
 use iri_core::classifier::Classifier;
 use iri_core::taxonomy::UpdateClass;
@@ -251,37 +252,6 @@ fn cache_serves_repeats_and_invalidates_on_commit() {
 }
 
 #[test]
-fn saturated_service_answers_typed_busy() {
-    let dir = temp_store_dir("busy");
-    // Zero slots and zero queue: every gated command refuses instantly.
-    let core = open_core(
-        &dir,
-        &ServeOptions {
-            max_inflight: 0,
-            max_queue: 0,
-            ..ServeOptions::default()
-        },
-    );
-    let mut client = Client::local(Arc::clone(&core));
-    match client
-        .request(Command::Bytes {
-            filter: Filter::default(),
-        })
-        .unwrap()
-        .resp
-    {
-        Response::Busy { active, queued } => assert_eq!((active, queued), (0, 0)),
-        other => panic!("expected Busy, got {other:?}"),
-    }
-    // Service verbs bypass admission: liveness and stats still answer.
-    assert_eq!(client.request(Command::Ping).unwrap().resp, Response::Pong);
-    match client.request(Command::Stats).unwrap().resp {
-        Response::Stats { stats } => assert_eq!(stats.busy_rejections, 1),
-        other => panic!("stats expected, got {other:?}"),
-    }
-}
-
-#[test]
 fn plan_traces_ride_on_gated_replies() {
     let dir = temp_store_dir("plan");
     let core = open_core(&dir, &ServeOptions::default());
@@ -368,49 +338,10 @@ fn metrics_and_health_expose_the_live_surface() {
             assert_eq!(health.status, "ok");
             assert_eq!(health.generation, core.live().generation());
             assert_eq!(health.max_inflight, 64);
-            assert_eq!(health.max_queue, 256);
             assert!(!health.draining);
             assert_eq!(health.inflight, 0, "nothing executing between requests");
         }
         other => panic!("health answered {other:?}"),
-    }
-}
-
-#[test]
-fn abandoned_gate_waits_are_attributed() {
-    let dir = temp_store_dir("abandon");
-    // No execution slots but room to queue, with a 10 ms wait budget:
-    // every gated request waits its budget in the queue, gives up, and
-    // the burned time is attributed in the plan and the stats.
-    let core = open_core(
-        &dir,
-        &ServeOptions {
-            max_inflight: 0,
-            max_queue: 4,
-            max_queue_wait_ms: Some(10),
-            ..ServeOptions::default()
-        },
-    );
-    let mut client = Client::local(Arc::clone(&core));
-    let reply = client
-        .request(Command::Bytes {
-            filter: Filter::default(),
-        })
-        .unwrap();
-    assert!(matches!(reply.resp, Response::Busy { .. }));
-    let plan = reply.plan.expect("busy refusals attribute their wait");
-    assert!(
-        plan.admission_wait_us >= 10_000,
-        "the abandoned wait is the plan's admission time: {plan}"
-    );
-    match client.request(Command::Stats).unwrap().resp {
-        Response::Stats { stats } => {
-            assert_eq!(stats.busy_rejections, 1);
-            assert_eq!(stats.gate_abandoned, 1);
-            assert!(stats.gate_abandon_wait_us >= 10_000);
-            assert!(stats.gate_wait_total_us >= stats.gate_abandon_wait_us);
-        }
-        other => panic!("stats answered {other:?}"),
     }
 }
 

@@ -112,6 +112,25 @@ impl Manifest {
     pub fn tails(&self) -> impl Iterator<Item = &SegmentMeta> {
         self.segments.iter().filter(|m| m.shard == TAIL_SHARD)
     }
+
+    /// Where a [`Store::time_series`] over this manifest starts and how
+    /// many bins it allocates: `(start_ms, bins)`. The series starts at
+    /// the query's lower bound (or the first event when unbounded) and
+    /// ends at its upper bound or just past the last event, whichever
+    /// is earlier; a `bin_ms` of 0 counts as 1.
+    #[must_use]
+    pub fn series_bins(&self, query: &Query, bin_ms: u64) -> (u64, u64) {
+        let start = if query.from_ms > 0 {
+            query.from_ms
+        } else {
+            self.min_time_ms
+        };
+        let end = query
+            .to_ms
+            .min(self.max_time_ms.saturating_add(1))
+            .max(start);
+        (start, (end - start).div_ceil(bin_ms.max(1)))
+    }
 }
 
 /// Parses and validates manifest bytes. Errors carry no path; callers
@@ -1652,16 +1671,7 @@ impl Store {
         bin_ms: u64,
     ) -> Result<(Vec<u64>, ScanStats), StoreError> {
         let bin_ms = bin_ms.max(1);
-        let start = if query.from_ms > 0 {
-            query.from_ms
-        } else {
-            self.manifest.min_time_ms
-        };
-        let end = query
-            .to_ms
-            .min(self.manifest.max_time_ms.saturating_add(1))
-            .max(start);
-        let bins = (end - start).div_ceil(bin_ms);
+        let (start, bins) = self.manifest.series_bins(query, bin_ms);
         let empty = Part::Series {
             start,
             bin_ms,
