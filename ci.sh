@@ -161,22 +161,32 @@ sys.exit(0 if r['events_written'] > 0 and r['store_generation'] > 0 else 1)
 " || { echo "    pack smoke run committed nothing"; exit 1; }
 echo "    quiet pack streamed 1 simulated hour into a live store"
 
-echo "==> chain kill-and-resume smoke (record, kill at a chunk boundary, resume)"
+echo "==> chain kill-and-resume smoke (record, kill after a committed batch, resume mid-run)"
+# paper-1996 at 6 h a day writes ~7 300 events over three days; chunk 90
+# falls on day 3, after the first 4 096-event batch has committed, so the
+# resume starts from the store's committed prefix, not from event 0.
+# Sabotage that trips it: --kill-after-chunks 2 (a kill in warm-up).
 rm -rf target/ci_chain_ref.store target/ci_chain_ref.store-chain \
        target/ci_chain_ref.store-ribspill target/ci_chain_res.store \
        target/ci_chain_res.store-chain target/ci_chain_res.store-ribspill
-./target/release/run_scenario --pack packs/quiet.toml \
-    --store target/ci_chain_ref.store --hours 1 --record > /dev/null
+./target/release/run_scenario --pack packs/paper_1996.toml \
+    --store target/ci_chain_ref.store --hours 6 --record > /dev/null
 code=0
-./target/release/run_scenario --pack packs/quiet.toml \
-    --store target/ci_chain_res.store --hours 1 --record \
-    --kill-after-chunks 2 > /dev/null || code=$?
+./target/release/run_scenario --pack packs/paper_1996.toml \
+    --store target/ci_chain_res.store --hours 6 --record \
+    --kill-after-chunks 90 > /dev/null || code=$?
 [ "$code" -eq 9 ] || { echo "    --kill-after-chunks must exit 9, got $code"; exit 1; }
-./target/release/run_scenario --pack packs/quiet.toml \
-    --store target/ci_chain_res.store --hours 1 --resume > /dev/null
+./target/release/run_scenario --pack packs/paper_1996.toml \
+    --store target/ci_chain_res.store --hours 6 --resume \
+    --report-json target/ci_chain_res.json > /dev/null
+python3 -c "
+import json
+r = json.load(open('target/ci_chain_res.json'))
+assert 0 < r['resumed_from'] < r['events_written'], (r['resumed_from'], r['events_written'])
+" || { echo "    the resume did not start mid-run"; exit 1; }
 same_tree target/ci_chain_ref.store target/ci_chain_res.store \
           target/ci_chain_ref.store-chain target/ci_chain_res.store-chain
-echo "    resumed store and chain are byte-identical to the unkilled run's"
+echo "    resumed mid-run; store and chain are byte-identical to the unkilled run's"
 
 echo "==> chain replay-equivalence smoke (paper-1996 pack, 1 simulated hour)"
 rm -rf target/ci_replay_rec.store target/ci_replay_rec.store-chain \
@@ -199,16 +209,20 @@ rm -f target/ci_watch_state.json
 grep -q "resuming from" target/ci_watch_resume.log
 echo "    restarted watch resumed from the persisted watermark"
 
-echo "==> bench_scale (regenerates BENCH_scale.json; RSS + detection + resume gates)"
-cargo run --release -q -p iri-bench --bin bench_scale
-python3 -c "
-import json
-r = json.load(open('BENCH_scale.json'))
-assert r['schema'] == 'bench-scale-v2', r['schema']
-assert r['resume']['heads_match'] is True
-assert all(p['chain_head'] for p in r['scale_points'])
-" || { echo "    BENCH_scale.json is not a well-formed v2 report"; exit 1; }
-echo "    BENCH_scale.json is well-formed bench-scale-v2 JSON (chain heads stamped)"
+echo "==> bench_scale (RSS + detection + resume gates; chain heads pinned to BENCH_scale.json)"
+# Sabotage that trips it: swap two fields in iri_chain::encode_event.
+cargo run --release -q -p iri-bench --bin bench_scale -- --out target/BENCH_scale_ci.json
+python3 - target/BENCH_scale_ci.json BENCH_scale.json <<'EOF' || { echo "    bench_scale does not reproduce the committed chain heads"; exit 1; }
+import json, sys
+run, committed = (json.load(open(p)) for p in sys.argv[1:])
+for r in (run, committed):
+    assert r['schema'] == 'bench-scale-v2', r['schema']
+    assert all(p['chain_head'] for p in r['scale_points'])
+pins = lambda r: [(p['chain_head'], p['events_written']) for p in r['scale_points']]
+assert pins(run) == pins(committed), (pins(run), pins(committed))
+assert run['resume']['heads_match'] is committed['resume']['heads_match'] is True
+EOF
+echo "    every point's chain head and event count equal the committed BENCH_scale.json"
 
 echo "==> tracescope --connect smoke (live health + metrics surface)"
 rm -rf target/ci_connect.store target/ci_serve.fifo target/ci_serve.log

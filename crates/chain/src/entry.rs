@@ -1,30 +1,32 @@
-//! Chain entries: the line format and the hash link.
+//! Chain entries: the entry kinds and the hash link.
 
 use iri_core::fxhash::FxHasher;
 use std::fmt;
 use std::hash::Hasher;
 
-/// The type tag of one chain entry. The wire tag (one short word) is
-/// part of the hashed bytes, so renaming a tag is a format break.
+/// The type tag of one chain entry. The tag (one short word) is part of
+/// the hashed bytes, so renaming a tag is a format break; the
+/// discriminant is the kind byte of the entry's frame in `CHAIN.log`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum EntryKind {
     /// Run identity: format version, pack fingerprint, effective
     /// duration — written once at sequence 0.
-    Genesis,
+    Genesis = 1,
     /// A simulated day is starting.
-    DayStart,
+    DayStart = 2,
     /// The day's scheduled fault draws, as a count + digest of every
     /// world injection the seeded fault RNGs produced.
-    Faults,
+    Faults = 3,
     /// One classified monitor event crossing into the store.
-    Event,
+    Event = 4,
     /// End-of-day checkpoint: cumulative event count, census, spill
     /// totals — everything resume needs for days it will skip.
-    Checkpoint,
+    Checkpoint = 5,
 }
 
 impl EntryKind {
-    /// The wire tag.
+    /// The hashed tag.
     #[must_use]
     pub fn tag(self) -> &'static str {
         match self {
@@ -36,17 +38,13 @@ impl EntryKind {
         }
     }
 
-    /// Inverse of [`EntryKind::tag`].
+    /// Inverse of `kind as u8`: the kind a frame's kind byte names.
     #[must_use]
-    pub fn from_tag(tag: &str) -> Option<EntryKind> {
-        Some(match tag {
-            "genesis" => EntryKind::Genesis,
-            "day" => EntryKind::DayStart,
-            "faults" => EntryKind::Faults,
-            "event" => EntryKind::Event,
-            "ckpt" => EntryKind::Checkpoint,
-            _ => return None,
-        })
+    pub fn from_byte(byte: u8) -> Option<EntryKind> {
+        use EntryKind::*;
+        [Genesis, DayStart, Faults, Event, Checkpoint]
+            .into_iter()
+            .find(|k| *k as u8 == byte)
     }
 }
 
@@ -63,8 +61,7 @@ pub struct ChainEntry {
     pub seq: u64,
     /// Type tag.
     pub kind: EntryKind,
-    /// Payload bytes (a compact integer encoding; never contains a
-    /// newline).
+    /// Payload bytes (a compact integer encoding).
     pub payload: String,
     /// The previous entry's hash; 0 for the genesis entry.
     pub prev: u64,
@@ -97,44 +94,11 @@ impl ChainEntry {
         }
     }
 
-    /// Renders the entry as its chain line (without the trailing
-    /// newline).
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        format!(
-            "{} {} {:016x} {:016x} {}",
-            self.seq,
-            self.kind.tag(),
-            self.prev,
-            self.hash,
-            self.payload
-        )
-    }
-
-    /// Parses one chain line. Returns `None` on any structural problem —
-    /// the caller treats that as the start of a torn tail.
-    #[must_use]
-    pub fn parse_line(line: &str) -> Option<ChainEntry> {
-        let mut parts = line.splitn(5, ' ');
-        let seq: u64 = parts.next()?.parse().ok()?;
-        let kind = EntryKind::from_tag(parts.next()?)?;
-        let prev = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let hash_field = parts.next()?;
-        if hash_field.len() != 16 {
-            return None;
-        }
-        let hash = u64::from_str_radix(hash_field, 16).ok()?;
-        let payload = parts.next().unwrap_or("").to_owned();
-        if entry_hash(seq, kind, &payload, prev) != hash {
-            return None;
-        }
-        Some(ChainEntry {
-            seq,
-            kind,
-            payload,
-            prev,
-            hash,
-        })
+    /// Appends the entry's frame — kind byte and payload — to `buf`.
+    /// `seq`, `prev` and `hash` are implicit: a load recomputes them
+    /// from the frame's position and the entries before it.
+    pub(crate) fn put_frame(&self, buf: &mut Vec<u8>) {
+        iri_store::frame::put_frame(buf, self.kind as u8, self.payload.as_bytes());
     }
 }
 
@@ -143,30 +107,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entries_round_trip_through_the_line_format() {
-        let e = ChainEntry::link(3, EntryKind::Event, "1 2 3 4 5".to_owned(), 0xdead_beef);
-        let parsed = ChainEntry::parse_line(&e.to_line()).expect("parse");
-        assert_eq!(parsed, e);
-    }
-
-    #[test]
-    fn empty_payloads_round_trip() {
-        let e = ChainEntry::link(0, EntryKind::Genesis, String::new(), 0);
-        assert_eq!(ChainEntry::parse_line(&e.to_line()), Some(e));
-    }
-
-    #[test]
-    fn any_field_tamper_fails_the_hash_check() {
+    fn any_field_change_changes_the_hash() {
         let e = ChainEntry::link(7, EntryKind::Faults, "0 12 00ff".to_owned(), 99);
-        let line = e.to_line();
-        // Payload tamper.
-        assert_eq!(ChainEntry::parse_line(&line.replace("12", "13")), None);
-        // Kind tamper.
-        assert_eq!(ChainEntry::parse_line(&line.replace("faults", "day")), None);
-        // Seq tamper.
-        assert_eq!(ChainEntry::parse_line(&line.replacen('7', "8", 1)), None);
-        // Truncated line (torn append).
-        assert_eq!(ChainEntry::parse_line(&line[..line.len() - 1]), None);
+        for other in [
+            ChainEntry::link(7, EntryKind::Faults, "0 13 00ff".to_owned(), 99),
+            ChainEntry::link(7, EntryKind::DayStart, "0 12 00ff".to_owned(), 99),
+            ChainEntry::link(8, EntryKind::Faults, "0 12 00ff".to_owned(), 99),
+        ] {
+            assert_ne!(other.hash, e.hash, "{other:?}");
+        }
     }
 
     #[test]
@@ -178,7 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_tags_round_trip() {
+    fn kind_bytes_round_trip() {
         for kind in [
             EntryKind::Genesis,
             EntryKind::DayStart,
@@ -186,8 +135,9 @@ mod tests {
             EntryKind::Event,
             EntryKind::Checkpoint,
         ] {
-            assert_eq!(EntryKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(EntryKind::from_byte(kind as u8), Some(kind));
         }
-        assert_eq!(EntryKind::from_tag("bogus"), None);
+        assert_eq!(EntryKind::from_byte(0), None);
+        assert_eq!(EntryKind::from_byte(6), None);
     }
 }

@@ -15,32 +15,30 @@
 //!
 //! ## Entry format
 //!
-//! `CHAIN.log` holds one entry per line:
-//!
-//! ```text
-//! <seq> <kind> <prev:016x> <hash:016x> <payload>
-//! ```
-//!
-//! `seq` is the zero-based entry index, `kind` a short type tag,
-//! `payload` the entry's bytes (a compact integer encoding, never JSON —
-//! the chain is the one file whose bytes must be stable forever), and
-//! `hash` the [`iri_core::fxhash::FxHasher`] digest of
-//! `(seq, kind, payload, prev)` where `prev` is the previous entry's
-//! hash (0 for the genesis entry). The head hash therefore commits to
-//! the entire recorded history, and `BENCH_*.json` stamps it so every
-//! published number names the exact input stream that produced it.
+//! `CHAIN.log` holds one [`iri_store::frame`] frame per entry: the
+//! [`EntryKind`] byte and the payload (a compact integer encoding, never
+//! JSON — the chain is the one file whose content must be stable
+//! forever). Each entry's `seq` (its zero-based index) and `hash` (the
+//! [`iri_core::fxhash::FxHasher`] digest of `(seq, kind tag, payload,
+//! prev)`, `prev` being the previous entry's hash, 0 for genesis) are not
+//! stored: a load recomputes them with [`entry_hash`]. The head hash
+//! therefore commits to the entire recorded history, and `BENCH_*.json`
+//! stamps it so every published number names the exact input stream
+//! that produced it. The text-line chains of older builds are refused
+//! with [`ChainError::Corrupt`] and left untouched.
 //!
 //! ## Durability
 //!
 //! All writes go through [`iri_faults::StoreFs`] — the same trait the
 //! segment store's manifest-journal protocol uses — so the fault
 //! injector's crash matrix covers chain appends exactly like segment
-//! commits. Each flush is one `append` + `sync`; recovery accepts the
-//! longest valid hash-linked prefix and truncates a torn tail in place
-//! (the all-or-prefix discipline for a single append-only file, the
-//! moral twin of the store's all-or-previous commit protocol). The
-//! writer flushes the chain **before** every store commit, so on any
-//! crash the durable chain covers at least every committed event.
+//! commits. Each flush is one `append` + `sync`; recovery keeps the
+//! valid prefix of whole frames and replaces a torn file by that prefix
+//! through [`iri_store::durable::write_atomic`] (the all-or-prefix
+//! discipline for a single append-only file, the moral twin of the
+//! store's all-or-previous commit protocol). The writer
+//! flushes the chain **before** every store commit, so on any crash the
+//! durable chain covers at least every committed event.
 //!
 //! ## Divergence as a test
 //!

@@ -7,11 +7,17 @@
 //! flush is a single `append` + `sync` through [`iri_faults::StoreFs`], so the crash
 //! matrix drives chain durability with the same machinery that drives
 //! segment commits.
+//!
+//! The file is a record log in the store's frame codec
+//! ([`iri_store::frame`]), one frame per entry, so a load reads back
+//! exactly the valid prefix the store's journal recovery reads.
 
 use crate::codec::Genesis;
 use crate::entry::{ChainEntry, EntryKind};
 use crate::ChainError;
-use iri_faults::SharedFs;
+use iri_faults::{RetryPolicy, SharedFs};
+use iri_store::durable::write_atomic;
+use iri_store::frame::read_valid_prefix;
 use std::path::{Path, PathBuf};
 
 /// The chain file name inside the chain directory.
@@ -37,7 +43,7 @@ pub struct ChainSummary {
     pub events: u64,
     /// Head hash (the last entry's hash).
     pub head: u64,
-    /// Torn lines truncated during recovery.
+    /// Bytes of torn tail dropped during recovery.
     pub truncated: u64,
 }
 
@@ -67,7 +73,7 @@ pub struct ChainTape {
     /// Event entries among the recorded prefix plus appends.
     events: u64,
     tail: Tail,
-    /// Lines dropped by torn-tail truncation at load.
+    /// Bytes dropped by torn-tail truncation at load.
     truncated: u64,
 }
 
@@ -92,9 +98,9 @@ impl ChainTape {
         }
         fs.create_dir_all(dir).map_err(|e| ChainError::io(dir, e))?;
         let first = ChainEntry::link(0, EntryKind::Genesis, genesis.encode(), 0);
-        let mut line = first.to_line();
-        line.push('\n');
-        fs.write(&path, line.as_bytes())
+        let mut frame = Vec::new();
+        first.put_frame(&mut frame);
+        fs.write(&path, &frame)
             .map_err(|e| ChainError::io(&path, e))?;
         fs.sync(&path).map_err(|e| ChainError::io(&path, e))?;
         fs.sync_dir(dir).map_err(|e| ChainError::io(dir, e))?;
@@ -116,54 +122,47 @@ impl ChainTape {
     /// Loads an existing chain for resume (append mode) or replay
     /// (sealed mode; see [`ChainTape::seal`]).
     ///
-    /// Recovery accepts the longest valid hash-linked prefix: the first
-    /// line that fails to parse, link, or sequence starts the torn tail,
-    /// and the file is rewritten without it. A chain that loses its
-    /// genesis entry is unrecoverable.
+    /// Recovery keeps the file's valid prefix of whole frames (the
+    /// torn-tail rule of [`iri_store::frame`]) and recomputes the hash
+    /// links from it. A torn tail is cut off by atomically replacing the
+    /// file with that prefix. A chain without a genesis entry at its
+    /// start is unrecoverable and left as found.
     ///
     /// # Errors
     /// [`ChainError::Io`] on filesystem failures, [`ChainError::Corrupt`]
-    /// if no valid genesis-rooted prefix exists.
+    /// if no genesis-rooted prefix exists (naming the text-line format
+    /// of older builds when it finds that), or a checksum-valid frame is
+    /// not an entry.
     pub fn load(fs: SharedFs, dir: &Path) -> Result<ChainTape, ChainError> {
         let path = dir.join(CHAIN_FILE);
         let bytes = fs.read(&path).map_err(|e| ChainError::io(&path, e))?;
-        let text = String::from_utf8_lossy(&bytes);
-        let mut entries: Vec<ChainEntry> = Vec::new();
-        let mut torn = 0u64;
-        for line in text.lines() {
-            if torn > 0 {
-                // Everything after the first bad line is tail debris.
-                torn += 1;
-                continue;
-            }
-            let parsed = ChainEntry::parse_line(line);
-            let linked = parsed.filter(|e| {
-                e.seq == entries.len() as u64
-                    && e.prev == entries.last().map_or(0, |p| p.hash)
-                    && (e.seq == 0) == (e.kind == EntryKind::Genesis)
-            });
-            match linked {
-                Some(e) => entries.push(e),
-                None => torn = 1,
-            }
+        let (frames, torn_at) = read_valid_prefix(&bytes);
+        let mut entries: Vec<ChainEntry> = Vec::with_capacity(frames.len());
+        for (seq, frame) in (0u64..).zip(frames) {
+            let kind = EntryKind::from_byte(frame.kind)
+                .filter(|k| (seq == 0) == (*k == EntryKind::Genesis));
+            let (Some(kind), Ok(payload)) = (kind, std::str::from_utf8(frame.body)) else {
+                let reason = "checksum-valid frame is not a chain entry".to_owned();
+                return Err(ChainError::Corrupt { seq, reason });
+            };
+            let prev = entries.last().map_or(0, |p| p.hash);
+            entries.push(ChainEntry::link(seq, kind, payload.to_owned(), prev));
         }
         if entries.is_empty() {
-            return Err(ChainError::Corrupt {
-                seq: 0,
-                reason: "no valid genesis entry; chain is unrecoverable".to_owned(),
-            });
+            let reason = if bytes.starts_with(b"0 genesis ") {
+                "text-line chain of an older build; this build reads only framed chains"
+            } else {
+                "no valid genesis entry; chain is unrecoverable"
+            };
+            let reason = reason.to_owned();
+            return Err(ChainError::Corrupt { seq: 0, reason });
         }
-        if torn > 0 {
-            // Rewrite the valid prefix in place so later appends extend
-            // a clean file.
-            let mut repaired = String::new();
-            for e in &entries {
-                repaired.push_str(&e.to_line());
-                repaired.push('\n');
-            }
-            fs.write(&path, repaired.as_bytes())
-                .map_err(|e| ChainError::io(&path, e))?;
-            fs.sync(&path).map_err(|e| ChainError::io(&path, e))?;
+        if torn_at < bytes.len() {
+            // Replace the file with its valid prefix so later appends
+            // extend a clean log.
+            write_atomic(&*fs, &RetryPolicy::none(), &path, &bytes[..torn_at], true)
+                .map_err(|e| ChainError::io(&path, std::io::Error::other(e)))?;
+            fs.sync_dir(dir).map_err(|e| ChainError::io(dir, e))?;
         }
         let head = entries.last().map_or(0, |e| e.hash);
         let events = entries
@@ -180,7 +179,7 @@ impl ChainTape {
             head,
             events,
             tail: Tail::Append,
-            truncated: torn,
+            truncated: (bytes.len() - torn_at) as u64,
         })
     }
 
@@ -245,13 +244,12 @@ impl ChainTape {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let mut buf = String::new();
+        let mut buf = Vec::new();
         for e in &self.pending {
-            buf.push_str(&e.to_line());
-            buf.push('\n');
+            e.put_frame(&mut buf);
         }
         self.fs
-            .append(&self.path, buf.as_bytes())
+            .append(&self.path, &buf)
             .map_err(|e| ChainError::io(&self.path, e))?;
         self.fs
             .sync(&self.path)
@@ -361,8 +359,9 @@ impl ChainTape {
 mod tests {
     use super::*;
     use crate::codec::Mark;
-    use iri_faults::real_fs;
+    use iri_faults::{real_fs, FaultKind, FaultPlan, FaultyFs};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
@@ -470,18 +469,43 @@ mod tests {
         let dir = temp_dir("torn");
         let recorded = record_sample(&dir);
         let path = dir.join(CHAIN_FILE);
-        // Simulate a crash mid-append: a torn final line.
+        // Simulate a crash mid-append: a torn final frame.
         let mut bytes = std::fs::read(&path).expect("read");
         let keep = bytes.len() - 10;
         bytes.truncate(keep);
         std::fs::write(&path, &bytes).expect("tear");
         let loaded = ChainTape::load(real_fs(), &dir).expect("load");
         assert_eq!(loaded.len(), recorded.len() - 1);
-        assert_eq!(loaded.summary().truncated, 1);
+        let repaired = std::fs::metadata(&path).expect("stat").len();
+        assert_eq!(loaded.summary().truncated, keep as u64 - repaired);
         // The rewrite leaves a clean file: a second load sees no tears.
         let again = ChainTape::load(real_fs(), &dir).expect("reload");
         assert_eq!(again.summary().truncated, 0);
         assert_eq!(again.entries(), loaded.entries());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_crash_during_repair_leaves_the_recording_whole() {
+        let dir = temp_dir("repair-crash");
+        record_sample(&dir);
+        let path = dir.join(CHAIN_FILE);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.truncate(bytes.len() - 3);
+        std::fs::write(&path, &bytes).expect("tear");
+        // Op 0 reads the chain, op 1 writes the repaired prefix: tear
+        // that write before a single byte lands.
+        let plan = FaultPlan::new().fault_at(1, FaultKind::TornWrite { keep: 0 });
+        let faulty: SharedFs = Arc::new(FaultyFs::new(plan));
+        assert!(matches!(
+            ChainTape::load(faulty, &dir),
+            Err(ChainError::Io { .. })
+        ));
+        assert_eq!(std::fs::read(&path).expect("reread"), bytes);
+        let first = ChainTape::load(real_fs(), &dir).expect("load after the crash");
+        let second = ChainTape::load(real_fs(), &dir).expect("load after the repair");
+        assert_eq!(second.head_hash(), first.head_hash());
+        assert_eq!(second.len(), first.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,7 @@
 //! produced. The injected-nondeterminism tests tamper with the chain and
 //! assert the failure names the exact first divergent sequence number.
 
-use iri_chain::{ChainEntry, CHAIN_FILE};
+use iri_chain::{ChainEntry, ChainTape, Genesis, CHAIN_FILE};
 use iri_faults::{CommitStep, FaultPlan, FaultyFs, SharedFs};
 use iri_scenario::runner::{ChainMode, RunError, RunnerOptions, ScenarioRunner};
 use iri_scenario::ScenarioPack;
@@ -395,26 +395,32 @@ fn resuming_a_completed_run_changes_nothing() {
     }
 }
 
+/// The recorded entries of the chain in `chain_dir`.
+fn chain_entries(chain_dir: &Path) -> Vec<ChainEntry> {
+    let tape = ChainTape::load(iri_faults::real_fs(), chain_dir).expect("load chain");
+    tape.entries().to_vec()
+}
+
+/// Replaces the chain in `chain_dir` with a fresh recording of
+/// `entries` (genesis first), which the tape re-links as it appends them.
+fn rewrite_chain(chain_dir: &Path, entries: &[ChainEntry]) {
+    std::fs::remove_file(chain_dir.join(CHAIN_FILE)).expect("remove chain");
+    let genesis = Genesis::decode(&entries[0].payload).expect("genesis payload");
+    let mut tape =
+        ChainTape::create(iri_faults::real_fs(), chain_dir, &genesis).expect("recreate chain");
+    for e in &entries[1..] {
+        tape.cross(e.kind, e.payload.clone()).expect("append entry");
+    }
+    tape.flush().expect("flush chain");
+}
+
 /// Rewrites the chain with `mutate` applied to the entry at `seq`,
 /// re-linking every hash so the file still loads cleanly — the tamper is
 /// only visible as a divergence from what the simulation re-produces.
 fn tamper_chain(chain_dir: &Path, seq: u64, mutate: impl Fn(&mut String)) {
-    let path = chain_dir.join(CHAIN_FILE);
-    let text = std::fs::read_to_string(&path).expect("read chain");
-    let mut out = String::new();
-    let mut prev = 0u64;
-    for line in text.lines() {
-        let e = ChainEntry::parse_line(line).expect("valid entry");
-        let mut payload = e.payload.clone();
-        if e.seq == seq {
-            mutate(&mut payload);
-        }
-        let relinked = ChainEntry::link(e.seq, e.kind, payload, prev);
-        prev = relinked.hash;
-        out.push_str(&relinked.to_line());
-        out.push('\n');
-    }
-    std::fs::write(&path, out).expect("write tampered chain");
+    let mut entries = chain_entries(chain_dir);
+    mutate(&mut entries[seq as usize].payload);
+    rewrite_chain(chain_dir, &entries);
 }
 
 #[test]
@@ -426,10 +432,8 @@ fn injected_nondeterminism_fails_with_the_first_divergent_seq() {
 
     // Flip one recorded event's size field: the replayed simulation will
     // produce the true value and must refuse at exactly that entry.
-    let text = std::fs::read_to_string(chain.join(CHAIN_FILE)).expect("chain");
-    let victim = text
-        .lines()
-        .map(|l| ChainEntry::parse_line(l).expect("valid entry"))
+    let victim = chain_entries(&chain)
+        .into_iter()
         .filter(|e| e.kind == iri_chain::EntryKind::Event)
         .nth(5)
         .expect("at least six events recorded");
@@ -467,10 +471,7 @@ fn a_truncated_recording_fails_replay_past_its_end() {
     killed_record_run(&pack, iri_faults::real_fs(), &store, &chain).expect("record run");
 
     // Keep only the first 10 entries (still a valid hash-linked prefix).
-    let path = chain.join(CHAIN_FILE);
-    let text = std::fs::read_to_string(&path).expect("chain");
-    let kept: Vec<&str> = text.lines().take(10).collect();
-    std::fs::write(&path, format!("{}\n", kept.join("\n"))).expect("truncate");
+    rewrite_chain(&chain, &chain_entries(&chain)[..10]);
 
     let d_rep = temp_dir("trunc-replay");
     let err = ScenarioRunner::new(

@@ -9,17 +9,17 @@
 //! [`CommitStep`] checkpoint the fault injector can kill at:
 //!
 //! 1. **Begin** — `Txn::begin` writes a `begin` record naming the new
-//!    generation to `MANIFEST.journal` and fsyncs it *before* any store
-//!    file is touched.
+//!    generation to a fresh `MANIFEST.journal` and fsyncs it *before*
+//!    any store file is touched.
 //! 2. **SegmentsDurable** — every new segment went through
 //!    `Txn::write_segment` (`*.seg.tmp`, rename to `*.seg`, fsync
 //!    deferred to `Txn::sync`, the seal's at the latest), every file
 //!    the commit replaces was moved by `Txn::displace` to
 //!    `retired/g<gen>/`, and the directory was fsynced.
 //! 3. **JournalSealed** — a `commit` record carrying the full manifest
-//!    (plus its checksum) is appended to the journal and fsynced. *This
-//!    is the commit point*: recovery from any later crash reproduces
-//!    the committed store.
+//!    is appended to the journal and fsynced. *This is the commit
+//!    point*: recovery from any later crash reproduces the committed
+//!    store.
 //! 4. **ManifestPublished** — `MANIFEST.json` is written to a temp
 //!    file, fsynced, and renamed into place. It is never touched before
 //!    this step, so a crash earlier leaves the previous manifest whole.
@@ -36,6 +36,15 @@
 //! compaction reuses a canonical file name: the old version already sits
 //! in the retired tree, so after a crash recovery finds a torn file at
 //! the main path, quarantines it, and restores the retired copy.
+//!
+//! ## The journal
+//!
+//! `MANIFEST.journal` is a [`crate::frame`] record log: a `begin` frame
+//! (varint generation and segment rows), then, at the commit point, a
+//! `commit` frame holding the manifest's compact JSON. Recovery reads
+//! the journal's valid prefix, so a torn tail is no record. The
+//! JSON-lines journal of older builds fails every open with a typed
+//! error and is left as found: it may hold that build's sealed commit.
 //!
 //! ## Recovery
 //!
@@ -58,14 +67,12 @@
 //! superseded files are dropped. Retired directories of other
 //! generations are left to [`crate::LiveStore`].
 
+use crate::frame::{put_frame, put_varint, read_valid_prefix, read_varint};
 use crate::query::{build_manifest, parse_manifest, Manifest, SegmentMeta};
 use crate::segment::SegmentFile;
 use crate::{StoreError, DEFAULT_SEGMENT_ROWS, MANIFEST_FILE, RETIRED_DIR};
-use iri_core::fxhash::FxHasher;
 use iri_faults::{RetryPolicy, SharedFs, StoreFs};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,24 +86,13 @@ pub const JOURNAL_FILE: &str = "MANIFEST.journal";
 /// Quarantine subdirectory name inside a store directory.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-/// Journal record version this crate writes.
-const JOURNAL_VERSION: u32 = 1;
+/// Frame kinds of the journal's `begin` and `commit` records.
+const BEGIN: u8 = 1;
+const COMMIT: u8 = 2;
 
-/// One line of `MANIFEST.journal`. `state` is `"begin"` (ingest started,
-/// `manifest` absent) or `"commit"` (`manifest` present, `sum` its
-/// checksum).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct JournalRecord {
-    version: u32,
-    generation: u64,
-    state: String,
-    #[serde(default)]
-    segment_rows: u32,
-    #[serde(default)]
-    sum: u64,
-    #[serde(default)]
-    manifest: Option<Manifest>,
-}
+/// How every record of the JSON-lines journal older builds wrote begins;
+/// a framed journal starts with a `begin` frame's small length instead.
+const JSON_LINES_JOURNAL: &[u8] = b"{\"version\":";
 
 /// One file moved aside by recovery, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,36 +129,6 @@ fn io_at(path: &Path, e: io::Error) -> StoreError {
     StoreError::io(path, e)
 }
 
-/// Checksum sealed into journal `commit` records: FxHash over the
-/// manifest's compact JSON encoding.
-fn manifest_sum(manifest: &Manifest) -> Result<u64, StoreError> {
-    let text = serde_json::to_string(manifest).map_err(|e| StoreError::Json(e.to_string()))?;
-    let mut h = FxHasher::default();
-    h.write(text.as_bytes());
-    Ok(h.finish())
-}
-
-/// One journal line: the record of `state` for `generation`, carrying
-/// `manifest` and its checksum if it is the commit record.
-fn journal_line(
-    state: &str,
-    generation: u64,
-    segment_rows: u32,
-    manifest: Option<&Manifest>,
-) -> Result<Vec<u8>, StoreError> {
-    let rec = JournalRecord {
-        version: JOURNAL_VERSION,
-        generation,
-        state: state.to_string(),
-        segment_rows,
-        sum: manifest.map(manifest_sum).transpose()?.unwrap_or(0),
-        manifest: manifest.cloned(),
-    };
-    let mut line = serde_json::to_string(&rec).map_err(|e| StoreError::Json(e.to_string()))?;
-    line.push('\n');
-    Ok(line.into_bytes())
-}
-
 /// Writes (truncating any stale journal) and fsyncs the `begin` record.
 fn journal_begin(
     fs: &dyn StoreFs,
@@ -171,7 +137,11 @@ fn journal_begin(
     segment_rows: u32,
 ) -> Result<(), StoreError> {
     let path = dir.join(JOURNAL_FILE);
-    let bytes = journal_line("begin", generation, segment_rows, None)?;
+    let mut body = Vec::new();
+    put_varint(&mut body, generation);
+    put_varint(&mut body, u64::from(segment_rows));
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, BEGIN, &body);
     fs.write(&path, &bytes).map_err(|e| io_at(&path, e))?;
     fs.sync(&path).map_err(|e| io_at(&path, e))?;
     fs.sync_dir(dir).map_err(|e| io_at(dir, e))?;
@@ -181,8 +151,9 @@ fn journal_begin(
 /// Appends and fsyncs the `commit` record — the commit point.
 fn journal_seal(fs: &dyn StoreFs, dir: &Path, manifest: &Manifest) -> Result<(), StoreError> {
     let path = dir.join(JOURNAL_FILE);
-    let (generation, rows) = (manifest.generation, manifest.segment_rows);
-    let bytes = journal_line("commit", generation, rows, Some(manifest))?;
+    let text = serde_json::to_string(manifest).map_err(|e| StoreError::Json(e.to_string()))?;
+    let mut bytes = Vec::new();
+    put_frame(&mut bytes, COMMIT, text.as_bytes());
     fs.append(&path, &bytes).map_err(|e| io_at(&path, e))?;
     fs.sync(&path).map_err(|e| io_at(&path, e))?;
     Ok(())
@@ -201,14 +172,14 @@ fn retried<T>(
     res.map_err(|e| io_at(path, e))
 }
 
-/// The store's one atomic file replacement: `bytes` go to `<dest>.tmp`,
+/// The tree's one atomic file replacement: `bytes` go to `<dest>.tmp`,
 /// which is renamed over `dest`. With `sync_first` the temp file is
 /// fsynced before the rename, so `dest` never names unflushed bytes —
-/// what the manifest and the watch state need, having nothing to fall
-/// back on. Without it the caller owes `dest` an fsync before anything
-/// relies on it (segments: `Txn::sync`). Returns the retries spent on
-/// transient errors.
-pub(crate) fn write_atomic(
+/// what the manifest, the watch state and a repaired chain need, having
+/// nothing to fall back on. Without it the caller owes `dest` an fsync
+/// before anything relies on it (segments: `Txn::sync`). Returns the
+/// retries spent on transient errors.
+pub fn write_atomic(
     fs: &dyn StoreFs,
     retry: &RetryPolicy,
     dest: &Path,
@@ -416,58 +387,42 @@ impl Txn {
     }
 }
 
-/// What a tolerant journal read finds: the newest `begin` intent and the
-/// newest checksum-valid committed manifest. Torn trailing lines and
-/// unparseable records are skipped — the journal is written
-/// crash-first.
+/// What the journal's valid prefix holds: the `begin` intent and, if
+/// the commit point was reached, the committed manifest.
 #[derive(Debug, Default)]
 struct JournalView {
     begin: Option<(u64, u32)>,
     committed: Option<Manifest>,
 }
 
-fn read_journal(fs: &dyn StoreFs, dir: &Path) -> JournalView {
+/// Reads the journal, if there is one; a JSON-lines journal is a
+/// [`StoreError::Corrupt`] at its path.
+fn read_journal(fs: &dyn StoreFs, dir: &Path) -> Result<JournalView, StoreError> {
     let mut view = JournalView::default();
     let path = dir.join(JOURNAL_FILE);
     let Ok(bytes) = fs.read(&path) else {
-        return view;
+        return Ok(view);
     };
-    let Ok(text) = std::str::from_utf8(&bytes) else {
-        return view;
-    };
-    for line in text.lines() {
-        let Ok(rec) = serde_json::from_str::<JournalRecord>(line) else {
-            continue;
-        };
-        if rec.version != JOURNAL_VERSION {
-            continue;
-        }
-        match rec.state.as_str() {
-            "begin" if view.begin.is_none_or(|(g, _)| rec.generation >= g) => {
-                view.begin = Some((rec.generation, rec.segment_rows));
+    if bytes.starts_with(JSON_LINES_JOURNAL) {
+        return Err(StoreError::corrupt(
+            &path,
+            "JSON-lines journal from an older build; this build reads only framed \
+             journals, so finish that commit with the build that began it",
+        ));
+    }
+    for frame in read_valid_prefix(&bytes).0 {
+        match frame.kind {
+            BEGIN => {
+                let mut at = 0;
+                let generation = read_varint(frame.body, &mut at);
+                let rows = read_varint(frame.body, &mut at).and_then(|r| u32::try_from(r).ok());
+                view.begin = generation.zip(rows).or(view.begin);
             }
-            "commit" => {
-                let Some(manifest) = rec.manifest else {
-                    continue;
-                };
-                if manifest.generation != rec.generation {
-                    continue;
-                }
-                if manifest_sum(&manifest).ok() != Some(rec.sum) {
-                    continue;
-                }
-                if view
-                    .committed
-                    .as_ref()
-                    .is_none_or(|m| manifest.generation >= m.generation)
-                {
-                    view.committed = Some(manifest);
-                }
-            }
+            COMMIT => view.committed = parse_manifest(frame.body).ok().or(view.committed),
             _ => {}
         }
     }
-    view
+    Ok(view)
 }
 
 /// The generation a new commit into `dir` should carry: one past the
@@ -480,7 +435,7 @@ fn next_generation(fs: &dyn StoreFs, dir: &Path) -> u64 {
             newest = newest.max(m.generation);
         }
     }
-    let journal = read_journal(fs, dir);
+    let journal = read_journal(fs, dir).unwrap_or_default();
     if let Some((g, _)) = journal.begin {
         newest = newest.max(g);
     }
@@ -575,6 +530,8 @@ pub(crate) fn recover(
     let journal_path = dir.join(JOURNAL_FILE);
     let journal_present = fs.exists(&journal_path);
     if strict && journal_present {
+        // A journal this build cannot read says so before anything else.
+        read_journal(fs, dir)?;
         return Err(StoreError::quarantined(
             &journal_path,
             "unretired manifest journal: crash recovery required (open without strict to repair)",
@@ -602,7 +559,7 @@ pub(crate) fn recover(
         None
     };
 
-    let journal = read_journal(fs, dir);
+    let journal = read_journal(fs, dir)?;
     let begun = journal.begin.map(|(generation, _)| generation);
     // Newest generation wins; on a tie the journal does — its commit
     // record is written before (and survives) the manifest publish.

@@ -54,6 +54,7 @@
 
 pub mod cache;
 pub mod durable;
+pub mod frame;
 pub mod ingest;
 pub mod live;
 pub mod plan;

@@ -40,13 +40,13 @@
 //! reads columns sequentially and never consumes the footer or the
 //! directory; the lazy [`SegmentFile`] reader prunes and decodes by page.
 
+use crate::frame::{checksum, put_varint, read_varint};
 use crate::{splitmix64, StoreError, StoredEvent};
 use iri_bgp::types::Prefix;
-use iri_core::fxhash::{FxHashMap, FxHasher};
+use iri_core::fxhash::FxHashMap;
 use iri_core::input::PeerKey;
 use iri_core::taxonomy::UpdateClass;
 use iri_obs::cause::Cause;
-use std::hash::Hasher;
 use std::net::Ipv4Addr;
 
 /// A [`StoreError::Corrupt`] with no path: segment code sees byte
@@ -117,19 +117,6 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// LEB128 unsigned varint.
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
 /// Zigzag-folds a signed delta into the unsigned varint space.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
@@ -187,19 +174,12 @@ impl<'a> Cur<'a> {
     }
 
     fn varint(&mut self, what: &str) -> Result<u64, StoreError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8(what)?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(bad(format!("varint overflow in {what}")));
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        let at = self.pos;
+        read_varint(self.buf, &mut self.pos).ok_or_else(|| {
+            bad(format!(
+                "truncated or overlong varint in {what} at offset {at}"
+            ))
+        })
     }
 }
 
@@ -212,12 +192,6 @@ const PREFIX_ENTRY: usize = 5;
 /// The little-endian u32 at the front of `b`.
 fn le_u32(b: &[u8]) -> u32 {
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
 }
 
 /// The checks both readers start with — length, the trailing checksum
@@ -890,7 +864,7 @@ impl PageBuf {
 /// cleared: every slot is overwritten, so a warm buffer is never
 /// re-zeroed. The hot loop takes the one-byte fast path (the
 /// overwhelmingly common case for dictionary codes and sizes) before
-/// falling back to the multi-byte loop.
+/// falling back to the shared [`read_varint`].
 #[inline]
 fn decode_varints<T: Copy + Default>(
     col: &[u8],
@@ -902,28 +876,14 @@ fn decode_varints<T: Copy + Default>(
 ) -> Result<(), StoreError> {
     out.resize(n, T::default());
     for slot in out.iter_mut() {
-        let Some(&b) = col.get(pos) else {
-            return Err(bad(format!("segment truncated reading {what}")));
-        };
-        pos += 1;
-        let mut v = u64::from(b & 0x7f);
-        if b >= 0x80 {
-            let mut shift = 7u32;
-            loop {
-                let Some(&b) = col.get(pos) else {
-                    return Err(bad(format!("segment truncated reading {what}")));
-                };
+        let v = match col.get(pos) {
+            Some(&b) if b < 0x80 => {
                 pos += 1;
-                if shift >= 64 || (shift == 63 && b > 1) {
-                    return Err(bad(format!("varint overflow in {what}")));
-                }
-                v |= u64::from(b & 0x7f) << shift;
-                if b & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
+                u64::from(b)
             }
-        }
+            _ => read_varint(col, &mut pos)
+                .ok_or_else(|| bad(format!("truncated or overlong varint in {what}")))?,
+        };
         *slot = map(v)?;
     }
     Ok(())
