@@ -78,6 +78,14 @@ cargo test -q -p iri-store --test fault_injection
 echo "==> crash-recovery matrix in release mode"
 cargo test --release -q -p iri-store --test fault_injection crash_matrix
 
+echo "==> JSON codec: exact round trips, no parser panics, linear-time parse (release)"
+# A 512 KiB string and a 256-event Append line must each parse in under
+# 1 s (about 1 ms when linear). Sabotage that trips it: restore the
+# per-character branch in shims/serde_json's Parser::string that calls
+# std::str::from_utf8(&self.bytes[self.pos..]) on the whole rest of the
+# input once per character (14 s on the 512 KiB string).
+cargo test --release -q --test json_codec
+
 echo "==> tail fold is canonical at any batching; an append is 15 operations and one file (release)"
 cargo test --release -q -p iri-store --test tail_fold
 cargo test --release -q -p iri-store --test live_store an_append_costs

@@ -59,12 +59,14 @@ impl Client {
     pub fn request(&mut self, cmd: Command) -> io::Result<Reply> {
         let id = self.next_id;
         self.next_id += 1;
-        let line = serde_json::to_string(&Request { id, cmd })
+        let mut line = serde_json::to_string(&Request { id, cmd })
             .map_err(|e| bad_data(format!("request render failed: {e}")))?;
         let out = match &mut self.transport {
             Transport::Tcp { reader, writer } => {
+                // One write per line: the socket is TCP_NODELAY, so a
+                // separate newline write would go out as its own segment.
+                line.push('\n');
                 writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
                 writer.flush()?;
                 let mut out = String::new();
                 if reader.read_line(&mut out)? == 0 {

@@ -187,6 +187,7 @@ struct Meters {
     appends: CounterId,
     append_events: CounterId,
     compactions: CounterId,
+    parse_us: HistogramId,
     pin_us: HistogramId,
     exec_us: HistogramId,
     gate_wait_us: HistogramId,
@@ -234,6 +235,7 @@ impl ServeCore {
             appends: registry.counter("serve.appends"),
             append_events: registry.counter("serve.append_events"),
             compactions: registry.counter("serve.compactions"),
+            parse_us: registry.histogram("serve.parse_us"),
             pin_us: registry.histogram("serve.pin_us"),
             exec_us: registry.histogram("serve.exec_us"),
             gate_wait_us: registry.histogram("serve.gate_wait_us"),
@@ -314,9 +316,13 @@ impl ServeCore {
 
     /// Handles one raw request line and renders one reply line (no
     /// trailing newline). Malformed JSON maps to an `Error` with code
-    /// [`CODE_JSON`] and id 0.
+    /// [`CODE_JSON`] and id 0. The parse time of every line, good or
+    /// bad, goes to `serve.parse_us`: it precedes the request span.
     pub fn handle_line(&self, line: &str) -> String {
-        let reply = match serde_json::from_str::<Request>(line) {
+        let parse = Instant::now();
+        let parsed = serde_json::from_str::<Request>(line);
+        self.observe_us(self.meters.parse_us, dur_us(parse.elapsed()));
+        let reply = match parsed {
             Ok(req) => self.handle(req),
             Err(e) => {
                 self.count(self.meters.parse_errors);

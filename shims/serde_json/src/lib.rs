@@ -6,11 +6,16 @@
 //! `null`/`true`/`false`). Non-string map keys arrive here already encoded
 //! as `[key, value]` pair arrays by the serde shim, so everything printed is
 //! valid JSON.
+//!
+//! Parsing is linear in the input: every JSON reader in the tree (serve
+//! request and reply lines, `MANIFEST.json`, the watch state) comes
+//! through [`from_str`], and `tests/json_codec.rs` at the repository root
+//! holds it to that.
 
 pub use serde::Value;
 
 use serde::{DeError, Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization/parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +88,8 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::U64(n) => push_fmt(out, format_args!("{n}")),
+        Value::I64(n) => push_fmt(out, format_args!("{n}")),
         Value::F64(f) => write_f64(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Array(items) => write_seq(out, items.iter(), indent, depth, '[', ']', |o, x, d| {
@@ -128,27 +133,36 @@ fn write_seq<I, F>(
             out.push(',');
         }
         if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * (depth + 1)));
+            push_indent(out, step * (depth + 1));
         }
         write_item(out, item, depth + 1);
     }
     if !empty {
         if let Some(step) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(step * depth));
+            push_indent(out, step * depth);
         }
     }
     out.push(close);
+}
+
+/// Formats straight into `out`, with no intermediate `String`.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    // Writing into a `String` cannot fail.
+    let _ = out.write_fmt(args);
+}
+
+/// A newline and `width` spaces of indent.
+fn push_indent(out: &mut String, width: usize) {
+    push_fmt(out, format_args!("\n{:width$}", ""));
 }
 
 fn write_f64(out: &mut String, f: f64) {
     if f.is_finite() {
         if f.fract() == 0.0 && f.abs() < 1e15 {
             // Keep integral floats readable and round-trippable.
-            out.push_str(&format!("{f:.1}"));
+            push_fmt(out, format_args!("{f:.1}"));
         } else {
-            out.push_str(&format!("{f}"));
+            push_fmt(out, format_args!("{f}"));
         }
     } else {
         // JSON has no Infinity/NaN; match serde_json's strictness loosely
@@ -166,7 +180,7 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => push_fmt(out, format_args!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -352,13 +366,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8: it
-                    // came from &str).
+                    // Take the whole run up to the next `"` or `\` in one
+                    // step. Both delimiters are ASCII, so a run cut from a
+                    // &str is whole UTF-8, and validating just the run keeps
+                    // the parse linear in the input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::new("bad UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| Error::new("bad UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
