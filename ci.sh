@@ -93,6 +93,16 @@ cargo test --release -q -p iri-store --test live_store an_append_costs
 echo "==> store equivalence at paper scale (3M records, release)"
 IRI_EQUIV_RECORDS=3000000 cargo test --release -q -p iri-bench --test store_equivalence
 
+echo "==> simulator golden output and allocation budget (release)"
+# sim_golden pins (events, chain head) of paper-1996 and community-churn at
+# six simulated hours. Sabotage that trips it: drain the pending window in
+# reverse prefix order in netsim's Router::flush_peer (`.drain(..).rev()`).
+# sim_alloc_budget holds the same paper-1996 run to 1.1 x its measured
+# allocation calls per committed event. Sabotage that trips it: hand
+# process_update a deep copy of each received UPDATE in
+# Router::handle_message (`&update.clone()`: 135.9 calls, budget 134.6).
+cargo test --release -q --test sim_golden --test sim_alloc_budget
+
 echo "==> bench_store --smoke (prune-ratio, query-speedup gates)"
 cargo run --release -q -p iri-bench --bin bench_store -- --smoke \
     --out target/BENCH_store_smoke.json --dir target/bench_store_smoke.store

@@ -241,15 +241,35 @@ fn encode_notification(n: &Notification, out: &mut BytesMut) {
     out.extend_from_slice(&n.data);
 }
 
+/// Conservative per-message budget for prefix bytes, leaving generous room
+/// for header and attributes (attribute block is ≤ ~1 KiB for sane paths;
+/// we budget 2 KiB of prefixes per message).
+const PREFIX_BUDGET: usize = 2048;
+
+/// Whether [`split_update`] would return `u` itself as its only part: a
+/// pure withdrawal or a pure announcement whose prefixes fit one
+/// message's budget. Senders check this first and skip the rebuild.
+#[must_use]
+pub fn fits_one_message(u: &Update) -> bool {
+    let fits = |prefixes: &[Prefix]| {
+        prefixes.len() <= 1
+            || prefixes
+                .iter()
+                .map(|&p| encoded_prefix_len(p))
+                .sum::<usize>()
+                <= PREFIX_BUDGET
+    };
+    match &u.attrs {
+        None => u.nlri.is_empty() && fits(&u.withdrawn),
+        Some(_) => u.withdrawn.is_empty() && !u.nlri.is_empty() && fits(&u.nlri),
+    }
+}
+
 /// Splits an UPDATE whose encoding would exceed [`MAX_MESSAGE_LEN`] into
 /// several wire-legal UPDATEs carrying the same information, preserving
 /// withdrawal-before-announcement order within the batch.
 #[must_use]
 pub fn split_update(u: &Update) -> Vec<Update> {
-    // Conservative per-message budget for prefix bytes, leaving generous
-    // room for header and attributes (attribute block is ≤ ~1 KiB for sane
-    // paths; we budget 2 KiB of prefixes per message).
-    const PREFIX_BUDGET: usize = 2048;
     let mut out = Vec::new();
     let mut w_iter = u.withdrawn.iter().copied().peekable();
     while w_iter.peek().is_some() {

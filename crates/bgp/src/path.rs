@@ -143,17 +143,15 @@ impl AsPath {
         }
     }
 
-    /// Returns a new path with `asn` prepended, as done by each border router
-    /// on export ("each router along a path adds its autonomous system number
-    /// to a list in the BGP message").
-    #[must_use]
-    pub fn prepend(&self, asn: Asn) -> AsPath {
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
+    /// Prepends `asn` in place, as done by each border router on export
+    /// ("each router along a path adds its autonomous system number to a
+    /// list in the BGP message"). Exporters call it on the copy they are
+    /// about to send, so the path is never copied twice.
+    pub fn prepend(&mut self, asn: Asn) {
+        match self.segments.first_mut() {
             Some(PathSegment::Sequence(v)) => v.insert(0, asn),
-            _ => segments.insert(0, PathSegment::Sequence(vec![asn])),
+            _ => self.segments.insert(0, PathSegment::Sequence(vec![asn])),
         }
-        AsPath { segments }
     }
 
     /// All ASNs in order of appearance (sets flattened in stored order).
@@ -265,12 +263,13 @@ mod tests {
 
     #[test]
     fn prepend_grows_leading_sequence() {
-        let p = seq(&[3561]).prepend(Asn(701));
+        let mut p = seq(&[3561]);
+        p.prepend(Asn(701));
         assert_eq!(p.to_string(), "701 3561");
         assert_eq!(p.segments().len(), 1);
         // Prepending onto a path that starts with a set creates a new segment.
-        let setty = AsPath::from_segments([PathSegment::Set(vec![Asn(1), Asn(2)])]);
-        let q = setty.prepend(Asn(701));
+        let mut q = AsPath::from_segments([PathSegment::Set(vec![Asn(1), Asn(2)])]);
+        q.prepend(Asn(701));
         assert_eq!(q.segments().len(), 2);
         assert_eq!(q.first(), Some(Asn(701)));
     }

@@ -83,7 +83,11 @@ pub struct PeerContext {
 pub fn validate_inbound(ctx: &PeerContext, msg: &Message) -> Vec<ValidationError> {
     match msg {
         Message::Open(o) => validate_open(ctx, o),
-        Message::Update(u) => validate_update(ctx, u),
+        Message::Update(u) => {
+            let mut errs = Vec::new();
+            validate_update(ctx, u, &mut errs);
+            errs
+        }
         Message::Notification(_) | Message::Keepalive => Vec::new(),
     }
 }
@@ -102,8 +106,10 @@ fn validate_open(ctx: &PeerContext, o: &Open) -> Vec<ValidationError> {
     errs
 }
 
-fn validate_update(ctx: &PeerContext, u: &Update) -> Vec<ValidationError> {
-    let mut errs = Vec::new();
+/// The UPDATE half of [`validate_inbound`], for callers that hold the
+/// UPDATE itself rather than a [`Message`] around it: appends each
+/// violation to `errs`, a buffer the caller owns.
+pub fn validate_update(ctx: &PeerContext, u: &Update, errs: &mut Vec<ValidationError>) {
     if let Some(attrs) = &u.attrs {
         if !u.nlri.is_empty() {
             if ctx.ebgp {
@@ -129,7 +135,6 @@ fn validate_update(ctx: &PeerContext, u: &Update) -> Vec<ValidationError> {
     if u.nlri.iter().any(|p| u.withdrawn.contains(p)) {
         errs.push(ValidationError::AnnounceWithdrawOverlap);
     }
-    errs
 }
 
 #[cfg(test)]

@@ -3,7 +3,10 @@
 //! panic on arbitrary bytes.
 
 use iri_bgp::attrs::{Aggregator, Origin, PathAttributes};
-use iri_bgp::codec::{decode_message, decode_stream_message, encode_message, HEADER_LEN};
+use iri_bgp::codec::{
+    decode_message, decode_stream_message, encode_message, fits_one_message, split_update,
+    HEADER_LEN,
+};
 use iri_bgp::message::{Message, Notification, NotificationCode, Open, Update};
 use iri_bgp::path::{AsPath, PathSegment};
 use iri_bgp::types::{Asn, Prefix};
@@ -122,6 +125,19 @@ proptest! {
     }
 
     #[test]
+    fn an_update_that_fits_one_message_splits_into_itself(
+        withdrawn in prop::collection::vec(arb_prefix(), 0..700),
+        announce in proptest::option::of((arb_attrs(), prop::collection::vec(arb_prefix(), 0..700))),
+    ) {
+        let u = match announce {
+            Some((attrs, nlri)) => Update { withdrawn, attrs: Some(attrs), nlri },
+            None => Update { withdrawn, attrs: None, nlri: vec![] },
+        };
+        let parts = split_update(&u);
+        prop_assert_eq!(fits_one_message(&u), parts == vec![u.clone()]);
+    }
+
+    #[test]
     fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_message(&bytes);
         let _ = decode_stream_message(&bytes);
@@ -178,7 +194,8 @@ proptest! {
 
     #[test]
     fn path_prepend_preserves_suffix_and_adds_head(path in arb_path(), asn in arb_asn()) {
-        let prepended = path.prepend(asn);
+        let mut prepended = path.clone();
+        prepended.prepend(asn);
         prop_assert_eq!(prepended.first(), Some(asn));
         let orig: Vec<Asn> = path.iter().collect();
         let new: Vec<Asn> = prepended.iter().collect();

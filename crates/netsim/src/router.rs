@@ -24,16 +24,21 @@
 //! - optional inbound route-flap damping.
 //!
 //! The router is a pure state machine: every entry point takes `now` and
-//! the seeded RNG and returns [`Effect`]s for the world to realise, keeping
-//! the whole simulation deterministic.
+//! the seeded RNG and appends [`Effect`]s for the world to realise to a
+//! buffer the world owns and drains, keeping the whole simulation
+//! deterministic. The event path reuses its buffers: the world owns the
+//! effect buffer, the router owns its FSM-action, validation and flush
+//! scratch, pending windows keep their capacity, and attributes are cloned
+//! where a table keeps the copy.
 
 use crate::engine::SimTime;
 use crate::link::LinkId;
 use iri_bgp::attrs::PathAttributes;
+use iri_bgp::codec::{fits_one_message, split_update};
 use iri_bgp::message::{Message, Update};
 use iri_bgp::path::AsPath;
 use iri_bgp::types::{Asn, Prefix};
-use iri_bgp::validate::{validate_inbound, PeerContext, ValidationError};
+use iri_bgp::validate::{validate_update, PeerContext, ValidationError};
 use iri_obs::{Cause, TraceKind};
 use iri_rib::adj_in::AdjRibIn;
 use iri_rib::adj_out::{AdjRibOut, ExportDelta, ExportEvent, StatefulAdjOut, StatelessAdjOut};
@@ -45,6 +50,7 @@ use iri_session::fsm::{Action, Event as FsmEvent, SessionConfig, SessionFsm};
 use iri_session::timers::{MraiTimer, TimerProfile};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
@@ -296,17 +302,86 @@ enum PendingExport {
 }
 
 impl PendingExport {
-    fn window_start(&self) -> Option<PathAttributes> {
-        match self {
-            PendingExport::Announce { window_start, .. }
-            | PendingExport::Withdraw { window_start, .. } => window_start.clone(),
-        }
-    }
-
     fn cause(&self) -> Cause {
         match self {
             PendingExport::Announce { cause, .. } | PendingExport::Withdraw { cause, .. } => *cause,
         }
+    }
+
+    /// Folds a later change of the same window into this entry. The window
+    /// keeps the start state — and the root cause — of its *first* queued
+    /// change; later intra-window changes only move the net result.
+    fn absorb(&mut self, later: PendingExport) {
+        let (window_start, first_cause) = match self {
+            PendingExport::Announce {
+                window_start,
+                cause,
+                ..
+            }
+            | PendingExport::Withdraw {
+                window_start,
+                cause,
+            } => (window_start.take(), *cause),
+        };
+        let cause = if first_cause.is_known() {
+            first_cause
+        } else {
+            later.cause()
+        };
+        *self = match later {
+            PendingExport::Announce { attrs, .. } => PendingExport::Announce {
+                attrs,
+                window_start,
+                cause,
+            },
+            PendingExport::Withdraw { .. } => PendingExport::Withdraw {
+                window_start,
+                cause,
+            },
+        };
+    }
+}
+
+/// One peer's pending flush window: the net action per prefix, sorted by
+/// prefix. Lookups are binary searches, a flush drains it in prefix order,
+/// and it keeps its capacity across flushes, so a busy peer's window stops
+/// allocating once it has grown to its working size.
+#[derive(Default)]
+struct PendingWindow {
+    entries: Vec<(Prefix, PendingExport)>,
+}
+
+impl PendingWindow {
+    fn search(&self, prefix: Prefix) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&prefix, |(p, _)| *p)
+    }
+
+    fn contains(&self, prefix: Prefix) -> bool {
+        self.search(prefix).is_ok()
+    }
+
+    /// Queues `action`, folding it into the prefix's entry if the window
+    /// already has one.
+    fn queue(&mut self, prefix: Prefix, action: PendingExport) {
+        match self.search(prefix) {
+            Ok(i) => self.entries[i].1.absorb(action),
+            Err(i) => self.entries.insert(i, (prefix, action)),
+        }
+    }
+
+    /// Queues `action` only if the window has nothing for the prefix yet.
+    fn queue_if_absent(&mut self, prefix: Prefix, action: PendingExport) {
+        if let Err(i) = self.search(prefix) {
+            self.entries.insert(i, (prefix, action));
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 
@@ -358,7 +433,7 @@ struct Peer {
     adj_in: AdjRibIn,
     adj_out: Box<dyn AdjRibOut + Send>,
     mrai: MraiTimer,
-    pending: BTreeMap<Prefix, PendingExport>,
+    pending: PendingWindow,
     import_policy: Policy,
     export_policy: Policy,
     timer_gen: [u64; 4],
@@ -371,12 +446,15 @@ fn local_peer_addr() -> Ipv4Addr {
 }
 
 /// The most common per-prefix cause across an UPDATE's prefixes (ties break
-/// toward the lower [`Cause::index`], deterministically). Prefixes with no
-/// recorded provenance count toward `fallback`.
-fn dominant_cause(part: &Update, causes: &BTreeMap<Prefix, Cause>, fallback: Cause) -> Cause {
+/// toward the lower [`Cause::index`], deterministically). `causes` is
+/// sorted by prefix; prefixes with no recorded provenance count toward
+/// `fallback`.
+fn dominant_cause(part: &Update, causes: &[(Prefix, Cause)], fallback: Cause) -> Cause {
     let mut counts = [0usize; Cause::COUNT];
     for pfx in part.withdrawn.iter().chain(part.nlri.iter()) {
-        let c = causes.get(pfx).copied().unwrap_or(fallback);
+        let c = causes
+            .binary_search_by_key(pfx, |(p, _)| *p)
+            .map_or(fallback, |i| causes[i].1);
         counts[c.index()] += 1;
     }
     let mut best = fallback;
@@ -398,6 +476,9 @@ pub struct Router {
     /// Static configuration.
     pub cfg: RouterConfig,
     peers: BTreeMap<RouterId, Peer>,
+    /// The keys of `peers` in ascending order, kept by [`Router::add_peer`]
+    /// so that walking every peer collects nothing.
+    peer_order: Vec<RouterId>,
     addr_to_peer: HashMap<Ipv4Addr, RouterId>,
     loc_rib: LocRib,
     originated: BTreeMap<Prefix, PathAttributes>,
@@ -411,6 +492,14 @@ pub struct Router {
     /// (time, weight) of recent inbound prefix events for the crash window.
     recent_load: VecDeque<(SimTime, u32)>,
     recent_load_sum: u64,
+    /// Scratch for one FSM call's actions, drained as they are applied.
+    fsm_actions: Vec<Action>,
+    /// Scratch for one UPDATE's validation errors.
+    violations: Vec<ValidationError>,
+    /// Scratch for one flush: the drained window's `(prefix, cause)` pairs
+    /// in prefix order, and the Adj-RIB-Out's combined delta.
+    flush_causes: Vec<(Prefix, Cause)>,
+    flush_delta: ExportDelta,
     /// Observable counters.
     pub counters: RouterCounters,
 }
@@ -423,6 +512,7 @@ impl Router {
             id,
             cfg,
             peers: BTreeMap::new(),
+            peer_order: Vec::new(),
             addr_to_peer: HashMap::new(),
             loc_rib: LocRib::new(),
             originated: BTreeMap::new(),
@@ -431,6 +521,10 @@ impl Router {
             crashed: false,
             recent_load: VecDeque::new(),
             recent_load_sum: 0,
+            fsm_actions: Vec::new(),
+            violations: Vec::new(),
+            flush_causes: Vec::new(),
+            flush_delta: ExportDelta::default(),
             counters: RouterCounters::default(),
         }
     }
@@ -490,6 +584,9 @@ impl Router {
         };
         let damper = self.cfg.damping.clone().map(RouteDamper::new);
         self.addr_to_peer.insert(peer_addr, peer_id);
+        if let Err(i) = self.peer_order.binary_search(&peer_id) {
+            self.peer_order.insert(i, peer_id);
+        }
         self.peers.insert(
             peer_id,
             Peer {
@@ -509,7 +606,7 @@ impl Router {
                     self.cfg.timer_profile,
                     u64::from(u32::from(self.cfg.addr)).wrapping_mul(7919),
                 ),
-                pending: BTreeMap::new(),
+                pending: PendingWindow::default(),
                 import_policy: Policy::accept_all(),
                 export_policy: Policy::accept_all(),
                 timer_gen: [0; 4],
@@ -577,19 +674,11 @@ impl Router {
     // ------------------------------------------------------------------
 
     /// Starts (or restarts) all peering sessions.
-    pub fn start_sessions(&mut self, now: SimTime, rng: &mut StdRng) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        let peer_ids: Vec<RouterId> = self.peers.keys().copied().collect();
-        for pid in peer_ids {
-            let actions = self
-                .peers
-                .get_mut(&pid)
-                .expect("listed")
-                .fsm
-                .handle(FsmEvent::Start);
-            self.apply_fsm_actions(pid, actions, Cause::FsmReset, now, rng, &mut effects);
+    pub fn start_sessions(&mut self, now: SimTime, rng: &mut StdRng, effects: &mut Vec<Effect>) {
+        for i in 0..self.peer_order.len() {
+            let pid = self.peer_order[i];
+            self.drive_fsm(pid, FsmEvent::Start, Cause::FsmReset, now, rng, effects);
         }
-        effects
     }
 
     /// Transport toward `peer` came up or went down. `cause` names the
@@ -602,10 +691,10 @@ impl Router {
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        if self.crashed {
-            return effects;
+        effects: &mut Vec<Effect>,
+    ) {
+        if self.crashed || !self.peers.contains_key(&peer) {
+            return;
         }
         let ev = if up {
             FsmEvent::TcpEstablished
@@ -617,11 +706,7 @@ impl Router {
         } else {
             Cause::FsmReset
         };
-        if let Some(p) = self.peers.get_mut(&peer) {
-            let actions = p.fsm.handle(ev);
-            self.apply_fsm_actions(peer, actions, down_cause, now, rng, &mut effects);
-        }
-        effects
+        self.drive_fsm(peer, ev, down_cause, now, rng, effects);
     }
 
     /// A timer fired.
@@ -632,37 +717,29 @@ impl Router {
         generation: u64,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
+        effects: &mut Vec<Effect>,
+    ) {
         if self.crashed {
-            return effects;
+            return;
         }
         let Some(p) = self.peers.get_mut(&peer) else {
-            return effects;
+            return;
         };
         if p.timer_gen[kind.index()] != generation {
-            return effects; // stale timer
+            return; // stale timer
         }
-        match kind {
+        let ev = match kind {
             TimerKind::Mrai => {
                 if p.mrai.fire(now) {
-                    self.flush_peer(peer, now, rng, &mut effects);
+                    self.flush_peer(peer, now, rng, effects);
                 }
+                return;
             }
-            TimerKind::Hold => {
-                let actions = p.fsm.handle(FsmEvent::HoldTimerExpired);
-                self.apply_fsm_actions(peer, actions, Cause::FsmReset, now, rng, &mut effects);
-            }
-            TimerKind::Keepalive => {
-                let actions = p.fsm.handle(FsmEvent::KeepaliveTimerFired);
-                self.apply_fsm_actions(peer, actions, Cause::FsmReset, now, rng, &mut effects);
-            }
-            TimerKind::ConnectRetry => {
-                let actions = p.fsm.handle(FsmEvent::ConnectRetryExpired);
-                self.apply_fsm_actions(peer, actions, Cause::FsmReset, now, rng, &mut effects);
-            }
-        }
-        effects
+            TimerKind::Hold => FsmEvent::HoldTimerExpired,
+            TimerKind::Keepalive => FsmEvent::KeepaliveTimerFired,
+            TimerKind::ConnectRetry => FsmEvent::ConnectRetryExpired,
+        };
+        self.drive_fsm(peer, ev, Cause::FsmReset, now, rng, effects);
     }
 
     /// A BGP message arrived from `peer`, carrying the provenance `cause`
@@ -674,10 +751,10 @@ impl Router {
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
+        effects: &mut Vec<Effect>,
+    ) {
         if self.crashed || !self.peers.contains_key(&peer) {
-            return effects;
+            return;
         }
 
         // Content processing for UPDATEs happens outside the FSM, but only
@@ -690,26 +767,27 @@ impl Router {
             let _ready =
                 self.consume_cpu(now, u64::from(events).max(1) * self.cfg.cpu.update_cost_us);
             if self.note_load(now, events.max(1)) {
-                return self.crash(now, Cause::CpuOverload);
+                self.crash(now, Cause::CpuOverload, effects);
+                return;
             }
             if established {
-                self.process_update(peer, update.clone(), cause, now, rng, &mut effects);
+                self.process_update(peer, update, cause, now, rng, effects);
             }
         }
 
-        let actions = self
-            .peers
-            .get_mut(&peer)
-            .expect("checked")
-            .fsm
-            .handle(FsmEvent::MessageReceived(msg));
-        self.apply_fsm_actions(peer, actions, Cause::FsmReset, now, rng, &mut effects);
-        effects
+        self.drive_fsm(
+            peer,
+            FsmEvent::MessageReceived(msg),
+            Cause::FsmReset,
+            now,
+            rng,
+            effects,
+        );
     }
 
     /// Crashes the router immediately; `cause` is propagated to the peers'
     /// withdrawal waves.
-    pub fn crash(&mut self, now: SimTime, cause: Cause) -> Vec<Effect> {
+    pub fn crash(&mut self, now: SimTime, cause: Cause, effects: &mut Vec<Effect>) {
         let reboot = self.cfg.crash.map_or(120_000, |c| c.reboot_ms);
         self.crashed = true;
         self.counters.crashes += 1;
@@ -739,19 +817,17 @@ impl Router {
             peer.mrai.cancel();
             peer.timer_gen = peer.timer_gen.map(|g| g + 1); // invalidate all timers
         }
-        let mut fx = Vec::with_capacity(2);
         if cause == Cause::CpuOverload {
-            fx.push(Effect::Trace(TraceKind::CpuOverload { load: load_per_sec }));
+            effects.push(Effect::Trace(TraceKind::CpuOverload { load: load_per_sec }));
         }
-        fx.push(Effect::Crashed {
+        effects.push(Effect::Crashed {
             until: now + reboot,
             cause,
         });
-        fx
     }
 
     /// Reboot finished: re-originate local routes and restart sessions.
-    pub fn recover(&mut self, now: SimTime, rng: &mut StdRng) -> Vec<Effect> {
+    pub fn recover(&mut self, now: SimTime, rng: &mut StdRng, effects: &mut Vec<Effect>) {
         self.crashed = false;
         self.busy_until_us = now * 1000;
         let originated: Vec<(Prefix, PathAttributes)> = self
@@ -762,7 +838,7 @@ impl Router {
         for (prefix, attrs) in originated {
             self.install_local(prefix, attrs);
         }
-        self.start_sessions(now, rng)
+        self.start_sessions(now, rng, effects);
     }
 
     // ------------------------------------------------------------------
@@ -795,23 +871,26 @@ impl Router {
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
+        effects: &mut Vec<Effect>,
+    ) {
         if self.crashed {
-            return effects;
+            return;
         }
-        let attrs = self
-            .remembered_attrs
-            .get(&prefix)
-            .cloned()
-            .unwrap_or_else(|| {
-                PathAttributes::new(iri_bgp::attrs::Origin::Igp, AsPath::empty(), self.cfg.addr)
-            });
+        let attrs = match self.remembered_attrs.get(&prefix) {
+            Some(attrs) => attrs.clone(),
+            None => {
+                let attrs = PathAttributes::new(
+                    iri_bgp::attrs::Origin::Igp,
+                    AsPath::empty(),
+                    self.cfg.addr,
+                );
+                self.remembered_attrs.insert(prefix, attrs.clone());
+                attrs
+            }
+        };
         self.originated.insert(prefix, attrs.clone());
-        self.remembered_attrs.insert(prefix, attrs.clone());
         let change = self.install_local(prefix, attrs);
-        self.propagate_change(prefix, &change, cause, now, rng, &mut effects);
-        effects
+        self.propagate_change(prefix, &change, cause, now, rng, effects);
     }
 
     /// Originates `prefix` with explicit extra attributes (for policy-
@@ -823,16 +902,15 @@ impl Router {
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
+        effects: &mut Vec<Effect>,
+    ) {
         if self.crashed {
-            return effects;
+            return;
         }
         self.originated.insert(prefix, attrs.clone());
         self.remembered_attrs.insert(prefix, attrs.clone());
         let change = self.install_local(prefix, attrs);
-        self.propagate_change(prefix, &change, cause, now, rng, &mut effects);
-        effects
+        self.propagate_change(prefix, &change, cause, now, rng, effects);
     }
 
     /// Withdraws a locally originated prefix.
@@ -842,15 +920,14 @@ impl Router {
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
-    ) -> Vec<Effect> {
-        let mut effects = Vec::new();
+        effects: &mut Vec<Effect>,
+    ) {
         if self.crashed {
-            return effects;
+            return;
         }
         self.originated.remove(&prefix);
         let change = self.loc_rib.withdraw(prefix, local_peer_addr());
-        self.propagate_change(prefix, &change, cause, now, rng, &mut effects);
-        effects
+        self.propagate_change(prefix, &change, cause, now, rng, effects);
     }
 
     // ------------------------------------------------------------------
@@ -860,31 +937,31 @@ impl Router {
     fn process_update(
         &mut self,
         from: RouterId,
-        update: Update,
+        update: &Update,
         cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
         effects: &mut Vec<Effect>,
     ) {
-        // 1. Protocol validation (loop check, first-AS).
+        // 1. Protocol validation (loop check, first-AS). The UPDATE is
+        // borrowed; only the rare rewrites below copy it.
         let peer_asn = self.peers[&from].asn;
         let ctx = PeerContext {
             local_asn: self.cfg.asn,
             remote_asn: peer_asn,
             ebgp: true,
         };
-        let violations = validate_inbound(&ctx, &Message::Update(update.clone()));
+        validate_update(&ctx, update, &mut self.violations);
         let enforce_first_as = self.peers[&from].enforce_first_as;
-        let drop_announcements = violations.iter().any(|v| match v {
+        let drop_announcements = self.violations.drain(..).any(|v| match v {
             ValidationError::AsPathLoop(_) | ValidationError::BadNextHop(_) => true,
             ValidationError::FirstAsMismatch { .. } => enforce_first_as,
             _ => false,
         });
-        let mut update = update;
+        let mut update = Cow::Borrowed(update);
         if drop_announcements {
             self.counters.validation_drops += update.nlri.len() as u64;
-            update.nlri.clear();
-            update.attrs = None;
+            update = Cow::Owned(Update::withdraw(update.withdrawn.iter().copied()));
         }
 
         // 2. Inbound damping.
@@ -920,11 +997,16 @@ impl Router {
             let dropped =
                 (update.withdrawn.len() - keep_wd.len()) + (update.nlri.len() - keep_nlri.len());
             self.counters.damped += dropped as u64;
-            update.withdrawn = keep_wd;
-            update.nlri = keep_nlri;
-            if update.nlri.is_empty() {
-                update.attrs = None;
-            }
+            let attrs = if keep_nlri.is_empty() {
+                None
+            } else {
+                update.attrs.clone()
+            };
+            update = Cow::Owned(Update {
+                withdrawn: keep_wd,
+                attrs,
+                nlri: keep_nlri,
+            });
         }
 
         // 3. Adj-RIB-In.
@@ -942,20 +1024,22 @@ impl Router {
             self.propagate_change(prefix, &change, cause, now, rng, effects);
         }
         for prefix in delta.changed {
-            let cand = self.peers[&from]
-                .adj_in
-                .get(prefix)
-                .expect("just changed")
-                .clone();
-            // Import policy (may rewrite attributes or filter).
-            let imported = self.peers[&from]
-                .import_policy
-                .apply(prefix, &cand.attrs, self.cfg.asn);
+            // Import policy (may rewrite attributes or filter); its output
+            // is the copy the Loc-RIB keeps.
+            let imported = {
+                let p = &self.peers[&from];
+                let cand = p.adj_in.get(prefix).expect("just changed");
+                p.import_policy
+                    .apply(prefix, &cand.attrs, self.cfg.asn)
+                    .map(|attrs| RouteCandidate {
+                        attrs,
+                        peer_asn: cand.peer_asn,
+                        peer_router_id: cand.peer_router_id,
+                        peer_addr: cand.peer_addr,
+                    })
+            };
             let change = match imported {
-                Some(attrs) => {
-                    let cand = RouteCandidate { attrs, ..cand };
-                    self.loc_rib.upsert(prefix, peer_addr, cand)
-                }
+                Some(cand) => self.loc_rib.upsert(prefix, peer_addr, cand),
                 None => self.loc_rib.withdraw(prefix, peer_addr),
             };
             self.propagate_change(prefix, &change, cause, now, rng, effects);
@@ -963,7 +1047,8 @@ impl Router {
     }
 
     /// Queues exports for a Loc-RIB best change and accounts forwarding-
-    /// cache churn.
+    /// cache churn. `change` carries both the new best (what the Loc-RIB
+    /// now holds for `prefix`) and the old one, so nothing is copied here.
     fn propagate_change(
         &mut self,
         prefix: Prefix,
@@ -973,30 +1058,30 @@ impl Router {
         rng: &mut StdRng,
         effects: &mut Vec<Effect>,
     ) {
-        if !change.is_forwarding_change() {
-            return;
-        }
+        // Where the best route now points, and the pre-change best for
+        // window-start tracking.
+        let (best, old_best) = match change {
+            BestChange::Unchanged => return,
+            BestChange::NewBest(new) => (Some(new), None),
+            BestChange::Replaced { old, new } => (Some(&**new), Some(&**old)),
+            BestChange::Unreachable(old) => (None, Some(old)),
+        };
         // Route-cache architecture: every forwarding change invalidates the
         // interface-card cache entry (§3).
         self.counters.cache_invalidations += 1;
 
-        // Where does the best route now point?
-        let best = self.loc_rib.best(prefix).cloned();
         // The peer the *current best* was learned from must not have the
         // route echoed back.
-        let best_from = best
-            .as_ref()
-            .and_then(|b| self.addr_to_peer.get(&b.peer_addr).copied());
-        // The pre-change best, for window-start tracking.
-        let old_best = match change {
-            BestChange::Replaced { old, .. } => Some((**old).clone()),
-            BestChange::Unreachable(old) => Some(old.clone()),
-            _ => None,
-        };
+        let best_from = best.and_then(|b| self.addr_to_peer.get(&b.peer_addr).copied());
+        // A window's start state only decides whether a stateless export
+        // sends an explicit withdrawal ahead of its announcement; a
+        // stateful Adj-RIB-Out never reads it, so it is not computed.
+        let track_window_start = self.cfg.adj_out == AdjOutMode::Stateless;
 
-        let peer_ids: Vec<RouterId> = self.peers.keys().copied().collect();
-        for pid in peer_ids {
-            if !self.peers[&pid].fsm.is_established() {
+        for i in 0..self.peer_order.len() {
+            let pid = self.peer_order[i];
+            let p = &self.peers[&pid];
+            if !p.fsm.is_established() {
                 continue;
             }
             // Split horizon: never advertise a route back to the peer the
@@ -1007,24 +1092,19 @@ impl Router {
             }
             // What this peer was (nominally) being advertised before this
             // change — seeds the window-start when the window opens here.
-            let start_hint = old_best
-                .as_ref()
-                .and_then(|old| self.export_attrs(pid, prefix, &old.attrs));
-            let pending = match &best {
-                Some(b) => {
-                    let exported = self.export_attrs(pid, prefix, &b.attrs);
-                    match exported {
-                        Some(attrs) => PendingExport::Announce {
-                            attrs,
-                            window_start: start_hint,
-                            cause,
-                        },
-                        None => PendingExport::Withdraw {
-                            window_start: start_hint,
-                            cause,
-                        },
-                    }
-                }
+            // An open window keeps its own start, so none is computed.
+            let start_hint = if track_window_start && !p.pending.contains(prefix) {
+                old_best.and_then(|old| self.export_attrs(pid, prefix, &old.attrs))
+            } else {
+                None
+            };
+            let exported = best.and_then(|b| self.export_attrs(pid, prefix, &b.attrs));
+            let pending = match exported {
+                Some(attrs) => PendingExport::Announce {
+                    attrs,
+                    window_start: start_hint,
+                    cause,
+                },
                 None => PendingExport::Withdraw {
                     window_start: start_hint,
                     cause,
@@ -1035,7 +1115,8 @@ impl Router {
     }
 
     /// Computes post-policy attributes toward `peer` (prepend + next-hop
-    /// rewrite for border routers; transparent for route servers).
+    /// rewrite for border routers; transparent for route servers). The
+    /// policy's output is the one copy made; the prepend edits it in place.
     fn export_attrs(
         &self,
         peer: RouterId,
@@ -1046,7 +1127,7 @@ impl Router {
         let mut out = p.export_policy.apply(prefix, attrs, self.cfg.asn)?;
         match self.cfg.role {
             Role::Border => {
-                out.as_path = out.as_path.prepend(self.cfg.asn);
+                out.as_path.prepend(self.cfg.asn);
                 out.next_hop = self.cfg.addr;
                 out.local_pref = None; // LOCAL_PREF is not carried over EBGP
             }
@@ -1067,39 +1148,11 @@ impl Router {
         rng: &mut StdRng,
         effects: &mut Vec<Effect>,
     ) {
-        {
-            let p = self.peers.get_mut(&peer).expect("exists");
-            // The window keeps the start state — and the root cause — of its
-            // *first* queued change; subsequent intra-window changes only
-            // move the net result.
-            let entry = match p.pending.remove(&prefix) {
-                Some(existing) => {
-                    let window_start = existing.window_start();
-                    let cause = if existing.cause().is_known() {
-                        existing.cause()
-                    } else {
-                        action.cause()
-                    };
-                    match action {
-                        PendingExport::Announce { attrs, .. } => PendingExport::Announce {
-                            attrs,
-                            window_start,
-                            cause,
-                        },
-                        PendingExport::Withdraw { .. } => PendingExport::Withdraw {
-                            window_start,
-                            cause,
-                        },
-                    }
-                }
-                None => action,
-            };
-            p.pending.insert(prefix, entry);
-        }
-        if self.peers[&peer].mrai.is_immediate() {
+        let p = self.peers.get_mut(&peer).expect("exists");
+        p.pending.queue(prefix, action);
+        if p.mrai.is_immediate() {
             self.flush_peer(peer, now, rng, effects);
         } else {
-            let p = self.peers.get_mut(&peer).expect("exists");
             let was_armed = p.mrai.deadline().is_some();
             let at = p.mrai.arm(now, rng);
             if !was_armed {
@@ -1120,49 +1173,45 @@ impl Router {
         &mut self,
         peer: RouterId,
         now: SimTime,
-        _rng: &mut StdRng,
+        rng: &mut StdRng,
         effects: &mut Vec<Effect>,
     ) {
         let storm = self.cfg.withdrawal_storm;
-        let pending: Vec<(Prefix, PendingExport)> = {
-            let p = self.peers.get_mut(&peer).expect("exists");
-            if !p.fsm.is_established() {
-                p.pending.clear();
-                return;
-            }
-            p.flush_count += 1;
-            // The storm bug: periodically re-queue a blind withdrawal for
-            // everything this box thinks is withdrawn. Nothing changed in
-            // the RIB — these exist solely because the timer fired.
-            if let Some(n) = storm {
-                if p.flush_count.is_multiple_of(u64::from(n.max(1))) {
-                    let storm_set: Vec<Prefix> = p.storm_set.iter().copied().collect();
-                    for prefix in storm_set {
-                        p.pending.entry(prefix).or_insert(PendingExport::Withdraw {
+        let p = self.peers.get_mut(&peer).expect("exists");
+        if !p.fsm.is_established() {
+            p.pending.clear();
+            return;
+        }
+        p.flush_count += 1;
+        // The storm bug: periodically re-queue a blind withdrawal for
+        // everything this box thinks is withdrawn. Nothing changed in the
+        // RIB — these exist solely because the timer fired.
+        if let Some(n) = storm {
+            if p.flush_count.is_multiple_of(u64::from(n.max(1))) {
+                for &prefix in &p.storm_set {
+                    p.pending.queue_if_absent(
+                        prefix,
+                        PendingExport::Withdraw {
                             window_start: None,
                             cause: Cause::TimerInterval,
-                        });
-                    }
+                        },
+                    );
                 }
             }
-            std::mem::take(&mut p.pending).into_iter().collect()
-        };
-        if pending.is_empty() {
+        }
+        if p.pending.is_empty() {
             // Keep the storm heartbeat alive even through idle windows.
-            if storm.is_some() {
-                let alive = !self.peers[&peer].storm_set.is_empty();
-                if alive {
-                    self.rearm_mrai(peer, now, _rng, effects);
-                }
+            if storm.is_some() && !p.storm_set.is_empty() {
+                self.rearm_mrai(peer, now, rng, effects);
             }
             return;
         }
-        let mut total = ExportDelta::default();
-        let causes: BTreeMap<Prefix, Cause> =
-            pending.iter().map(|(p, a)| (*p, a.cause())).collect();
+        let mut causes = std::mem::take(&mut self.flush_causes);
+        let mut total = std::mem::take(&mut self.flush_delta);
         {
             let p = self.peers.get_mut(&peer).expect("exists");
-            for (prefix, action) in pending {
+            for (prefix, action) in p.pending.entries.drain(..) {
+                causes.push((prefix, action.cause()));
                 let event = match action {
                     PendingExport::Announce {
                         attrs,
@@ -1189,14 +1238,15 @@ impl Router {
                         }
                     }
                 }
-                let delta = p.adj_out.on_export(prefix, &event);
-                total.withdraw.extend(delta.withdraw);
-                total.announce.extend(delta.announce);
+                p.adj_out.on_export(prefix, &event, &mut total);
             }
         }
-        self.send_delta(peer, total, now, &causes, Cause::Unknown, effects);
+        self.send_delta(peer, &mut total, now, &causes, Cause::Unknown, effects);
+        causes.clear();
+        self.flush_causes = causes;
+        self.flush_delta = total;
         if storm.is_some() && !self.peers[&peer].storm_set.is_empty() {
-            self.rearm_mrai(peer, now, _rng, effects);
+            self.rearm_mrai(peer, now, rng, effects);
         }
     }
 
@@ -1221,16 +1271,16 @@ impl Router {
         }
     }
 
-    /// Packages an [`ExportDelta`] into UPDATE messages and emits them.
-    /// Each wire UPDATE is stamped with the dominant per-prefix cause
-    /// (`fallback` covers prefixes with no recorded provenance, e.g. the
-    /// initial table dump).
+    /// Packages an [`ExportDelta`] into UPDATE messages and emits them,
+    /// leaving `delta` empty. Each wire UPDATE is stamped with the dominant
+    /// per-prefix cause from `causes` (sorted by prefix; `fallback` covers
+    /// prefixes with no recorded provenance, e.g. the initial table dump).
     fn send_delta(
         &mut self,
         peer: RouterId,
-        delta: ExportDelta,
+        delta: &mut ExportDelta,
         now: SimTime,
-        causes: &BTreeMap<Prefix, Cause>,
+        causes: &[(Prefix, Cause)],
         fallback: Cause,
         effects: &mut Vec<Effect>,
     ) {
@@ -1239,56 +1289,98 @@ impl Router {
         }
         // Group announcements by identical attributes (one UPDATE each).
         let mut groups: Vec<(PathAttributes, Vec<Prefix>)> = Vec::new();
-        for (prefix, attrs) in delta.announce {
+        for (prefix, attrs) in delta.announce.drain(..) {
             match groups.iter_mut().find(|(a, _)| *a == attrs) {
                 Some((_, v)) => v.push(prefix),
                 None => groups.push((attrs, vec![prefix])),
             }
         }
-        let mut updates: Vec<Update> = Vec::new();
         if !delta.withdraw.is_empty() {
-            updates.push(Update::withdraw(delta.withdraw));
+            let withdraw = Update::withdraw(std::mem::take(&mut delta.withdraw));
+            self.send_update(peer, withdraw, now, causes, fallback, effects);
         }
         for (attrs, prefixes) in groups {
-            updates.push(Update::announce(attrs, prefixes));
+            self.send_update(
+                peer,
+                Update::announce(attrs, prefixes),
+                now,
+                causes,
+                fallback,
+                effects,
+            );
         }
-        for u in updates {
-            for part in iri_bgp::codec::split_update(&u) {
-                if part.is_empty() {
-                    continue;
-                }
-                let events = part.prefix_event_count() as u64;
-                self.counters.updates_tx += 1;
-                self.counters.announce_tx += part.nlri.len() as u64;
-                self.counters.withdraw_tx += part.withdrawn.len() as u64;
-                let cause = dominant_cause(&part, causes, fallback);
-                let ready_at = self.consume_cpu(now, events.max(1) * self.cfg.cpu.update_cost_us);
-                effects.push(Effect::Send {
-                    peer,
-                    msg: Message::Update(part),
-                    ready_at,
-                    cause,
-                });
+    }
+
+    /// Emits `update`, split into wire-legal parts only when it does not
+    /// fit one message.
+    fn send_update(
+        &mut self,
+        peer: RouterId,
+        update: Update,
+        now: SimTime,
+        causes: &[(Prefix, Cause)],
+        fallback: Cause,
+        effects: &mut Vec<Effect>,
+    ) {
+        if fits_one_message(&update) {
+            self.emit_update(peer, update, now, causes, fallback, effects);
+        } else {
+            for part in split_update(&update) {
+                self.emit_update(peer, part, now, causes, fallback, effects);
             }
         }
+    }
+
+    fn emit_update(
+        &mut self,
+        peer: RouterId,
+        part: Update,
+        now: SimTime,
+        causes: &[(Prefix, Cause)],
+        fallback: Cause,
+        effects: &mut Vec<Effect>,
+    ) {
+        if part.is_empty() {
+            return;
+        }
+        let events = part.prefix_event_count() as u64;
+        self.counters.updates_tx += 1;
+        self.counters.announce_tx += part.nlri.len() as u64;
+        self.counters.withdraw_tx += part.withdrawn.len() as u64;
+        let cause = dominant_cause(&part, causes, fallback);
+        let ready_at = self.consume_cpu(now, events.max(1) * self.cfg.cpu.update_cost_us);
+        effects.push(Effect::Send {
+            peer,
+            msg: Message::Update(part),
+            ready_at,
+            cause,
+        });
     }
 
     // ------------------------------------------------------------------
     // FSM action plumbing
     // ------------------------------------------------------------------
 
-    /// `down_cause` is stamped on the withdrawal wave if any of `actions`
-    /// takes the session down.
-    fn apply_fsm_actions(
+    /// Feeds `event` to the session FSM toward `peer` and applies the
+    /// actions it produces, through the router's own action buffer.
+    /// `down_cause` is stamped on the withdrawal wave if an action takes the
+    /// session down.
+    fn drive_fsm(
         &mut self,
         peer: RouterId,
-        actions: Vec<Action>,
+        event: FsmEvent,
         down_cause: Cause,
         now: SimTime,
         rng: &mut StdRng,
         effects: &mut Vec<Effect>,
     ) {
-        for action in actions {
+        let mut actions = std::mem::take(&mut self.fsm_actions);
+        self.peers
+            .get_mut(&peer)
+            .expect("configured peer")
+            .fsm
+            .handle(event, &mut actions);
+        for action in actions.drain(..) {
             match action {
                 Action::OpenConnection => effects.push(Effect::OpenConnection { peer }),
                 Action::CloseConnection => {
@@ -1331,6 +1423,7 @@ impl Router {
                 }
             }
         }
+        self.fsm_actions = actions;
     }
 
     fn arm_timer(
@@ -1353,30 +1446,20 @@ impl Router {
     /// Session established: transmit the full table ("large state dump").
     fn on_session_up(&mut self, peer: RouterId, now: SimTime, effects: &mut Vec<Effect>) {
         let peer_addr = self.peers[&peer].addr;
-        let routes: Vec<(Prefix, PathAttributes)> = self
+        let exported: Vec<(Prefix, PathAttributes)> = self
             .loc_rib
             .iter_best()
             .filter(|(_, best)| best.peer_addr != peer_addr)
-            .map(|(prefix, best)| (prefix, best.attrs.clone()))
-            .collect();
-        let exported: Vec<(Prefix, PathAttributes)> = routes
-            .into_iter()
-            .filter_map(|(prefix, attrs)| {
-                self.export_attrs(peer, prefix, &attrs).map(|a| (prefix, a))
+            .filter_map(|(prefix, best)| {
+                self.export_attrs(peer, prefix, &best.attrs)
+                    .map(|a| (prefix, a))
             })
             .collect();
-        let delta = {
+        let mut delta = {
             let p = self.peers.get_mut(&peer).expect("exists");
             p.adj_out.initial_dump(&exported)
         };
-        self.send_delta(
-            peer,
-            delta,
-            now,
-            &BTreeMap::new(),
-            Cause::InitialDump,
-            effects,
-        );
+        self.send_delta(peer, &mut delta, now, &[], Cause::InitialDump, effects);
     }
 
     /// Session lost: all the peer's routes are withdrawn and the change
@@ -1550,7 +1633,8 @@ mod tests {
             Ipv4Addr::new(192, 41, 177, 2),
             false,
         );
-        let fx = r.start_sessions(0, &mut rng());
+        let mut fx = Vec::new();
+        r.start_sessions(0, &mut rng(), &mut fx);
         assert!(fx
             .iter()
             .any(|f| matches!(f, Effect::OpenConnection { peer } if *peer == RouterId(2))));
@@ -1570,11 +1654,13 @@ mod tests {
             Ipv4Addr::new(192, 41, 177, 2),
             false,
         );
-        let fx = r.originate(
+        let mut fx = Vec::new();
+        r.originate(
             "10.0.0.0/8".parse().unwrap(),
             Cause::Origination,
             0,
             &mut rng(),
+            &mut fx,
         );
         // No established session: nothing to send, but Loc-RIB has it.
         assert!(fx.iter().all(|f| !matches!(f, Effect::Send { .. })));
@@ -1612,12 +1698,14 @@ mod tests {
             let update = Update::withdraw(
                 (0..10u32).map(|k| Prefix::from_raw(0x0a00_0000 | ((i * 10 + k) << 8), 24)),
             );
-            let fx = r.handle_message(
+            let mut fx = Vec::new();
+            r.handle_message(
                 RouterId(2),
                 Message::Update(update),
                 Cause::Withdrawal,
                 i as SimTime,
                 &mut rng(),
+                &mut fx,
             );
             if fx.iter().any(|f| matches!(f, Effect::Crashed { .. })) {
                 crashed_at = Some(i);
@@ -1628,16 +1716,18 @@ mod tests {
         assert!(r.is_crashed());
         assert_eq!(r.counters.crashes, 1);
         // Messages while crashed are ignored.
-        let fx = r.handle_message(
+        let mut fx = Vec::new();
+        r.handle_message(
             RouterId(2),
             Message::Keepalive,
             Cause::Unknown,
             100,
             &mut rng(),
+            &mut fx,
         );
         assert!(fx.is_empty());
         // Recovery restarts sessions.
-        let fx = r.recover(6000, &mut rng());
+        r.recover(6000, &mut rng(), &mut fx);
         assert!(!r.is_crashed());
         assert!(fx
             .iter()
@@ -1661,6 +1751,7 @@ mod tests {
             Cause::Withdrawal,
             0,
             &mut rng(),
+            &mut Vec::new(),
         );
         assert_eq!(r.counters.updates_rx, 1);
         assert_eq!(r.counters.prefix_events_rx, 1);
@@ -1668,22 +1759,25 @@ mod tests {
 
     #[test]
     fn dominant_cause_picks_majority_with_stable_ties() {
-        let mut causes = BTreeMap::new();
         let p1: Prefix = "10.0.0.0/8".parse().unwrap();
         let p2: Prefix = "10.1.0.0/16".parse().unwrap();
         let p3: Prefix = "10.2.0.0/16".parse().unwrap();
-        causes.insert(p1, Cause::TimerInterval);
-        causes.insert(p2, Cause::TimerInterval);
-        causes.insert(p3, Cause::CsuDrift);
+        let causes = [
+            (p1, Cause::TimerInterval),
+            (p2, Cause::TimerInterval),
+            (p3, Cause::CsuDrift),
+        ];
         let part = Update::withdraw([p1, p2, p3]);
         assert_eq!(
             dominant_cause(&part, &causes, Cause::Unknown),
             Cause::TimerInterval
         );
         // Tie: LinkFlap (index 3) beats TimerInterval (index 7).
-        causes.insert(p2, Cause::LinkFlap);
-        causes.insert(p3, Cause::LinkFlap);
-        causes.insert(p1, Cause::TimerInterval);
+        let causes = [
+            (p1, Cause::TimerInterval),
+            (p2, Cause::LinkFlap),
+            (p3, Cause::LinkFlap),
+        ];
         let two = Update::withdraw([p1, p2]);
         assert_eq!(
             dominant_cause(&two, &causes, Cause::Unknown),
@@ -1692,9 +1786,119 @@ mod tests {
         // Unmapped prefixes take the fallback.
         let unmapped = Update::withdraw(["172.16.0.0/12".parse().unwrap()]);
         assert_eq!(
-            dominant_cause(&unmapped, &BTreeMap::new(), Cause::InitialDump),
+            dominant_cause(&unmapped, &causes, Cause::InitialDump),
             Cause::InitialDump
         );
+    }
+
+    /// What a pending entry says, for comparing windows.
+    type Net = (
+        Prefix,
+        Option<PathAttributes>,
+        Option<PathAttributes>,
+        Cause,
+    );
+
+    fn net(prefix: Prefix, action: &PendingExport) -> Net {
+        match action {
+            PendingExport::Announce {
+                attrs,
+                window_start,
+                cause,
+            } => (prefix, Some(attrs.clone()), window_start.clone(), *cause),
+            PendingExport::Withdraw {
+                window_start,
+                cause,
+            } => (prefix, None, window_start.clone(), *cause),
+        }
+    }
+
+    /// The window as it was before it became a sorted `Vec`: a `BTreeMap`
+    /// whose merge removes the entry, clones its start, and re-inserts.
+    fn model_queue(
+        model: &mut BTreeMap<Prefix, PendingExport>,
+        prefix: Prefix,
+        action: PendingExport,
+    ) {
+        let entry = match model.remove(&prefix) {
+            Some(existing) => {
+                let window_start = match &existing {
+                    PendingExport::Announce { window_start, .. }
+                    | PendingExport::Withdraw { window_start, .. } => window_start.clone(),
+                };
+                let cause = if existing.cause().is_known() {
+                    existing.cause()
+                } else {
+                    action.cause()
+                };
+                match action {
+                    PendingExport::Announce { attrs, .. } => PendingExport::Announce {
+                        attrs,
+                        window_start,
+                        cause,
+                    },
+                    PendingExport::Withdraw { .. } => PendingExport::Withdraw {
+                        window_start,
+                        cause,
+                    },
+                }
+            }
+            None => action,
+        };
+        model.insert(prefix, entry);
+    }
+
+    #[test]
+    fn pending_window_squashes_and_drains_in_btreemap_order() {
+        use rand::Rng;
+        let mut draw = StdRng::seed_from_u64(7);
+        let attrs = |n: u32| {
+            PathAttributes::new(
+                iri_bgp::attrs::Origin::Igp,
+                AsPath::from_sequence((0..=n % 3).map(|h| Asn(64_512 + h))),
+                Ipv4Addr::new(10, 0, 0, 1),
+            )
+        };
+        let causes = [Cause::Unknown, Cause::LinkFlap, Cause::CsuDrift];
+        let mut window = PendingWindow::default();
+        for round in 0..200 {
+            let mut model = BTreeMap::new();
+            let ops = draw.random_range(0..40);
+            for _ in 0..ops {
+                // A small universe of prefixes, so most windows squash.
+                let prefix =
+                    Prefix::from_raw(0x0a00_0000 | (draw.random_range(0..12u32) << 12), 20);
+                let start = match draw.random_range(0..3u32) {
+                    0 => None,
+                    n => Some(attrs(n)),
+                };
+                let cause = causes[draw.random_range(0..3usize)];
+                let action = if draw.random_bool(0.6) {
+                    PendingExport::Announce {
+                        attrs: attrs(draw.random_range(0..4)),
+                        window_start: start,
+                        cause,
+                    }
+                } else {
+                    PendingExport::Withdraw {
+                        window_start: start,
+                        cause,
+                    }
+                };
+                if draw.random_bool(0.1) {
+                    // The storm's blind re-queue leaves an open entry alone.
+                    model.entry(prefix).or_insert_with(|| action.clone());
+                    window.queue_if_absent(prefix, action);
+                } else {
+                    model_queue(&mut model, prefix, action.clone());
+                    window.queue(prefix, action);
+                }
+            }
+            let want: Vec<Net> = model.iter().map(|(p, a)| net(*p, a)).collect();
+            let got: Vec<Net> = window.entries.drain(..).map(|(p, a)| net(p, &a)).collect();
+            assert_eq!(got, want, "round {round}");
+            assert!(window.is_empty());
+        }
     }
 
     #[test]

@@ -168,6 +168,10 @@ pub struct World {
     obs: ObsIds,
     /// RIB residency control; `None` = everything stays in memory.
     spill: Option<Box<SpillState>>,
+    /// The one effect buffer: every router entry point appends to it and
+    /// [`World::apply_effects`] drains it, so it keeps its capacity for the
+    /// whole run.
+    effects: Vec<Effect>,
     /// Aggregate statistics.
     pub stats: WorldStats,
 }
@@ -190,6 +194,7 @@ impl World {
             registry,
             obs,
             spill: None,
+            effects: Vec::new(),
             stats: WorldStats::default(),
         }
     }
@@ -384,8 +389,8 @@ impl World {
             }
         }
         for i in 0..self.routers.len() {
-            let fx = self.routers[i].start_sessions(self.queue.now(), &mut self.rng);
-            self.apply_effects(RouterId(i as u32), fx);
+            self.routers[i].start_sessions(self.queue.now(), &mut self.rng, &mut self.effects);
+            self.apply_effects(RouterId(i as u32));
         }
     }
 
@@ -477,11 +482,14 @@ impl World {
         while let Some((now, ev)) = self.queue.pop_until(t) {
             if self.spill.is_some() {
                 let touched = Self::routers_touched(&ev, &self.links);
+                let mut keep = [RouterId(0); 2];
+                let mut kept = 0;
                 for r in touched.iter().flatten() {
                     self.make_resident(*r);
+                    keep[kept] = *r;
+                    kept += 1;
                 }
-                let keep: Vec<RouterId> = touched.iter().flatten().copied().collect();
-                self.enforce_working_set(&keep);
+                self.enforce_working_set(&keep[..kept]);
             }
             self.dispatch(now, ev);
         }
@@ -582,8 +590,8 @@ impl World {
                 if !self.routers[router.0 as usize].is_crashed() {
                     // Operator-injected fault: the cause is the reset
                     // itself, not load.
-                    let fx = self.routers[router.0 as usize].crash(now, Cause::FsmReset);
-                    self.apply_effects(router, fx);
+                    self.routers[router.0 as usize].crash(now, Cause::FsmReset, &mut self.effects);
+                    self.apply_effects(router);
                 }
             }
             Ev::Deliver {
@@ -612,15 +620,16 @@ impl World {
                     mon.record(now, peer.cfg.asn, peer.cfg.addr, &msg, cause);
                 }
                 let before = self.session_fsm_state(to, from);
-                let fx = self.routers[to.0 as usize].handle_message(
+                self.routers[to.0 as usize].handle_message(
                     from,
                     msg,
                     cause,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
                 self.record_transition(now, to, from, before);
-                self.apply_effects(to, fx);
+                self.apply_effects(to);
             }
             Ev::Timer {
                 router,
@@ -641,15 +650,16 @@ impl World {
                 }
                 self.registry.inc(self.obs.timer_fires);
                 let before = self.session_fsm_state(router, peer);
-                let fx = self.routers[router.0 as usize].handle_timer(
+                self.routers[router.0 as usize].handle_timer(
                     peer,
                     kind,
                     generation,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
                 self.record_transition(now, router, peer, before);
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
             Ev::TransportUp {
                 router,
@@ -662,15 +672,16 @@ impl World {
                     return;
                 }
                 let before = self.session_fsm_state(router, peer);
-                let fx = self.routers[router.0 as usize].handle_transport(
+                self.routers[router.0 as usize].handle_transport(
                     peer,
                     true,
                     Cause::Unknown,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
                 self.record_transition(now, router, peer, before);
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
             Ev::TransportDown {
                 router,
@@ -681,15 +692,16 @@ impl World {
                     return;
                 }
                 let before = self.session_fsm_state(router, peer);
-                let fx = self.routers[router.0 as usize].handle_transport(
+                self.routers[router.0 as usize].handle_transport(
                     peer,
                     false,
                     cause,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
                 self.record_transition(now, router, peer, before);
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
             Ev::LinkDown(link) => {
                 self.carrier_loss(now, link);
@@ -750,9 +762,9 @@ impl World {
             }
             Ev::RouterRecover(router) => {
                 if self.routers[router.0 as usize].is_crashed() {
-                    let fx = self.routers[router.0 as usize].recover(now, &mut self.rng);
+                    self.routers[router.0 as usize].recover(now, &mut self.rng, &mut self.effects);
                     self.trace(now, router, TraceKind::RouterRecovered);
-                    self.apply_effects(router, fx);
+                    self.apply_effects(router);
                 }
             }
             Ev::Originate {
@@ -760,9 +772,14 @@ impl World {
                 prefix,
                 cause,
             } => {
-                let fx =
-                    self.routers[router.0 as usize].originate(prefix, cause, now, &mut self.rng);
-                self.apply_effects(router, fx);
+                self.routers[router.0 as usize].originate(
+                    prefix,
+                    cause,
+                    now,
+                    &mut self.rng,
+                    &mut self.effects,
+                );
+                self.apply_effects(router);
             }
             Ev::OriginateWith {
                 router,
@@ -770,27 +787,29 @@ impl World {
                 attrs,
                 cause,
             } => {
-                let fx = self.routers[router.0 as usize].originate_with(
+                self.routers[router.0 as usize].originate_with(
                     prefix,
                     *attrs,
                     cause,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
             Ev::WithdrawOrigin {
                 router,
                 prefix,
                 cause,
             } => {
-                let fx = self.routers[router.0 as usize].withdraw_origin(
+                self.routers[router.0 as usize].withdraw_origin(
                     prefix,
                     cause,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
         }
     }
@@ -819,13 +838,14 @@ impl World {
         if let Some((router, prefixes)) = self.access.get(&link).cloned() {
             // Customer tail circuit lost: withdraw its prefixes.
             for prefix in prefixes {
-                let fx = self.routers[router.0 as usize].withdraw_origin(
+                self.routers[router.0 as usize].withdraw_origin(
                     prefix,
                     cause,
                     now,
                     &mut self.rng,
+                    &mut self.effects,
                 );
-                self.apply_effects(router, fx);
+                self.apply_effects(router);
             }
         } else {
             // Peering link: both ends lose transport promptly.
@@ -901,8 +921,11 @@ impl World {
         }
     }
 
-    fn apply_effects(&mut self, router: RouterId, effects: Vec<Effect>) {
-        for fx in effects {
+    /// Realises the effects `router` appended to the world's buffer,
+    /// leaving the buffer empty (and its capacity in place).
+    fn apply_effects(&mut self, router: RouterId) {
+        let mut effects = std::mem::take(&mut self.effects);
+        for fx in effects.drain(..) {
             match fx {
                 Effect::Send {
                     peer,
@@ -1018,6 +1041,7 @@ impl World {
                 }
             }
         }
+        self.effects = effects;
     }
 }
 

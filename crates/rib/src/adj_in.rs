@@ -90,23 +90,27 @@ impl AdjRibIn {
         }
         if let Some(attrs) = &update.attrs {
             for &prefix in &update.nlri {
-                let cand = RouteCandidate {
-                    attrs: attrs.clone(),
-                    peer_asn: self.peer_asn,
-                    peer_router_id: self.peer_router_id,
-                    peer_addr: self.peer_addr,
-                };
-                match self.routes.get(prefix) {
-                    Some(existing) if *existing == cand => {
-                        delta.duplicate_announcements += 1;
-                        // Still counts as a (redundant) change for re-export
-                        // decisions? No: a byte-identical candidate changes
-                        // nothing downstream; stateful routers suppress it.
-                    }
-                    _ => {
-                        self.routes.insert(prefix, cand);
-                        delta.changed.push(prefix);
-                    }
+                // Compared in place: only a stored candidate copies the
+                // attributes.
+                let duplicate = self.routes.get(prefix).is_some_and(|existing| {
+                    existing.attrs == *attrs
+                        && existing.peer_asn == self.peer_asn
+                        && existing.peer_router_id == self.peer_router_id
+                        && existing.peer_addr == self.peer_addr
+                });
+                if duplicate {
+                    // A byte-identical candidate changes nothing downstream;
+                    // stateful routers suppress it.
+                    delta.duplicate_announcements += 1;
+                } else {
+                    let cand = RouteCandidate {
+                        attrs: attrs.clone(),
+                        peer_asn: self.peer_asn,
+                        peer_router_id: self.peer_router_id,
+                        peer_addr: self.peer_addr,
+                    };
+                    self.routes.insert(prefix, cand);
+                    delta.changed.push(prefix);
                 }
             }
         }

@@ -76,9 +76,10 @@ impl ExportDelta {
 
 /// Per-peer export behaviour.
 pub trait AdjRibOut {
-    /// Processes the net effect of one flush window for `prefix`, returning
-    /// what to put on the wire.
-    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent) -> ExportDelta;
+    /// Processes the net effect of one flush window for `prefix`,
+    /// appending what to put on the wire to `out` (one delta collects a
+    /// whole flush).
+    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent, out: &mut ExportDelta);
 
     /// Full-table dump at session establishment ("generating large state
     /// dump transmissions"). `routes` is the post-policy view of the
@@ -124,24 +125,22 @@ impl StatefulAdjOut {
 }
 
 impl AdjRibOut for StatefulAdjOut {
-    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent) -> ExportDelta {
-        let mut delta = ExportDelta::default();
+    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent, out: &mut ExportDelta) {
         match event {
             ExportEvent::Reachable { attrs, .. } => {
                 if self.advertised.get(prefix) != Some(attrs) {
                     self.advertised.insert(prefix, attrs.clone());
-                    delta.announce.push((prefix, attrs.clone()));
+                    out.announce.push((prefix, attrs.clone()));
                 }
             }
             ExportEvent::Unreachable => {
                 // Withdraw only if the peer was actually told about the
                 // route.
                 if self.advertised.remove(prefix).is_some() {
-                    delta.withdraw.push(prefix);
+                    out.withdraw.push(prefix);
                 }
             }
         }
-        delta
     }
 
     fn initial_dump(&mut self, routes: &[(Prefix, PathAttributes)]) -> ExportDelta {
@@ -210,25 +209,23 @@ impl StatelessAdjOut {
 }
 
 impl AdjRibOut for StatelessAdjOut {
-    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent) -> ExportDelta {
-        let mut delta = ExportDelta::default();
+    fn on_export(&mut self, prefix: Prefix, event: &ExportEvent, out: &mut ExportDelta) {
         match event {
             ExportEvent::Reachable { attrs, replaced } => {
                 if *replaced {
                     // Implicit withdrawal propagated explicitly — blind.
                     self.withdrawals_sent += 1;
-                    delta.withdraw.push(prefix);
+                    out.withdraw.push(prefix);
                 }
-                delta.announce.push((prefix, attrs.clone()));
+                out.announce.push((prefix, attrs.clone()));
             }
             ExportEvent::Unreachable => {
                 // Withdraw regardless of whether this peer ever heard an
                 // announcement — the WWDup engine.
                 self.withdrawals_sent += 1;
-                delta.withdraw.push(prefix);
+                out.withdraw.push(prefix);
             }
         }
-        delta
     }
 
     fn initial_dump(&mut self, routes: &[(Prefix, PathAttributes)]) -> ExportDelta {
@@ -269,6 +266,13 @@ mod tests {
         )
     }
 
+    /// Runs one export into a fresh delta.
+    fn export(adj_out: &mut dyn AdjRibOut, prefix: Prefix, event: &ExportEvent) -> ExportDelta {
+        let mut delta = ExportDelta::default();
+        adj_out.on_export(prefix, event, &mut delta);
+        delta
+    }
+
     fn reachable(path: &[u32], replaced: bool) -> ExportEvent {
         ExportEvent::Reachable {
             attrs: attrs(path),
@@ -279,11 +283,11 @@ mod tests {
     #[test]
     fn stateful_announces_once() {
         let mut out = StatefulAdjOut::new();
-        let d1 = out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
+        let d1 = export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
         assert_eq!(d1.announce.len(), 1);
         assert_eq!(d1.len(), 1);
         // Identical net result next window (the A1→A2→A1 squash): suppressed.
-        let d2 = out.on_export(p("10.0.0.0/8"), &reachable(&[701], true));
+        let d2 = export(&mut out, p("10.0.0.0/8"), &reachable(&[701], true));
         assert!(d2.is_empty());
         assert_eq!(out.advertised_count(), 1);
     }
@@ -292,23 +296,23 @@ mod tests {
     fn stateful_withdraws_only_if_advertised() {
         let mut out = StatefulAdjOut::new();
         // Never announced → no withdrawal on unreachable.
-        let d = out.on_export(p("10.0.0.0/8"), &ExportEvent::Unreachable);
+        let d = export(&mut out, p("10.0.0.0/8"), &ExportEvent::Unreachable);
         assert!(d.is_empty());
         // Announce then unreachable → exactly one withdrawal.
-        out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
-        let d = out.on_export(p("10.0.0.0/8"), &ExportEvent::Unreachable);
+        export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
+        let d = export(&mut out, p("10.0.0.0/8"), &ExportEvent::Unreachable);
         assert_eq!(d.withdraw, vec![p("10.0.0.0/8")]);
         assert_eq!(out.advertised_count(), 0);
         // Second unreachable in a row: nothing (no WWDup from stateful).
-        let d = out.on_export(p("10.0.0.0/8"), &ExportEvent::Unreachable);
+        let d = export(&mut out, p("10.0.0.0/8"), &ExportEvent::Unreachable);
         assert!(d.is_empty());
     }
 
     #[test]
     fn stateful_replacement_announces_new_attrs_without_withdraw() {
         let mut out = StatefulAdjOut::new();
-        out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
-        let d = out.on_export(p("10.0.0.0/8"), &reachable(&[1239], true));
+        export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
+        let d = export(&mut out, p("10.0.0.0/8"), &reachable(&[1239], true));
         assert_eq!(d.announce.len(), 1);
         assert!(d.withdraw.is_empty(), "stateful uses implicit withdrawal");
     }
@@ -316,18 +320,18 @@ mod tests {
     #[test]
     fn stateful_reset_forgets_wire_state() {
         let mut out = StatefulAdjOut::new();
-        out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
+        export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
         out.reset();
         assert_eq!(out.advertised_count(), 0);
         // After reset the same route is announced again (fresh session).
-        let d = out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
+        let d = export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
         assert_eq!(d.announce.len(), 1);
     }
 
     #[test]
     fn stateless_withdraws_blindly() {
         let mut out = StatelessAdjOut::new();
-        let d = out.on_export(p("10.0.0.0/8"), &ExportEvent::Unreachable);
+        let d = export(&mut out, p("10.0.0.0/8"), &ExportEvent::Unreachable);
         assert_eq!(d.withdraw, vec![p("10.0.0.0/8")]);
         assert_eq!(out.withdrawals_sent(), 1);
     }
@@ -335,7 +339,7 @@ mod tests {
     #[test]
     fn stateless_replacement_sends_withdraw_plus_announce() {
         let mut out = StatelessAdjOut::new();
-        let d = out.on_export(p("10.0.0.0/8"), &reachable(&[1239], true));
+        let d = export(&mut out, p("10.0.0.0/8"), &reachable(&[1239], true));
         assert_eq!(d.withdraw, vec![p("10.0.0.0/8")]);
         assert_eq!(d.announce.len(), 1);
         assert_eq!(d.len(), 2);
@@ -346,9 +350,9 @@ mod tests {
         // The AADup engine: the A1→A2→A1 squash transmits A1 although the
         // peer already holds it.
         let mut out = StatelessAdjOut::new();
-        let d1 = out.on_export(p("10.0.0.0/8"), &reachable(&[701], false));
+        let d1 = export(&mut out, p("10.0.0.0/8"), &reachable(&[701], false));
         assert_eq!(d1.announce.len(), 1);
-        let d2 = out.on_export(p("10.0.0.0/8"), &reachable(&[701], true));
+        let d2 = export(&mut out, p("10.0.0.0/8"), &reachable(&[701], true));
         assert_eq!(d2.announce.len(), 1, "duplicate announcement transmitted");
     }
 
@@ -356,7 +360,7 @@ mod tests {
     fn stateless_repeats_identical_unreachable() {
         let mut out = StatelessAdjOut::new();
         for _ in 0..6 {
-            let d = out.on_export(p("192.42.113.0/24"), &ExportEvent::Unreachable);
+            let d = export(&mut out, p("192.42.113.0/24"), &ExportEvent::Unreachable);
             assert_eq!(d.withdraw.len(), 1);
         }
         // Six withdrawals for a prefix the peer never saw announced —

@@ -6,7 +6,7 @@
 //! architecture (§3 of the paper) and is propagated to peers via
 //! Adj-RIB-Out.
 
-use crate::decision::{best_route, RouteCandidate};
+use crate::decision::{compare_routes, RouteCandidate};
 use crate::trie::PrefixTrie;
 use iri_bgp::types::Prefix;
 use std::collections::BTreeMap;
@@ -16,10 +16,26 @@ use std::net::Ipv4Addr;
 /// router).
 pub type PeerId = Ipv4Addr;
 
-/// Per-prefix candidate set plus the current best selection.
+/// Per-prefix candidate set plus the current best selection, held as the
+/// key of the winning candidate so the table keeps one copy of each route.
 struct Entry {
     candidates: BTreeMap<PeerId, RouteCandidate>,
-    best: Option<RouteCandidate>,
+    best: Option<PeerId>,
+}
+
+impl Entry {
+    fn best(&self) -> Option<&RouteCandidate> {
+        self.best.map(|peer| &self.candidates[&peer])
+    }
+
+    /// The decision process: the key of the most preferred candidate
+    /// ([`crate::decision::best_route`]'s choice, first wins on a tie).
+    fn select(&self) -> Option<PeerId> {
+        self.candidates
+            .iter()
+            .min_by(|(_, a), (_, b)| compare_routes(a, b))
+            .map(|(peer, _)| *peer)
+    }
 }
 
 /// How a prefix's best route changed after an event.
@@ -75,7 +91,7 @@ impl LocRib {
     /// The current best route for `prefix`.
     #[must_use]
     pub fn best(&self, prefix: Prefix) -> Option<&RouteCandidate> {
-        self.entries.get(prefix).and_then(|e| e.best.as_ref())
+        self.entries.get(prefix).and_then(Entry::best)
     }
 
     /// Number of distinct candidate paths stored for `prefix` — the
@@ -89,7 +105,7 @@ impl LocRib {
     pub fn iter_best(&self) -> impl Iterator<Item = (Prefix, &RouteCandidate)> {
         self.entries
             .iter()
-            .filter_map(|(p, e)| e.best.as_ref().map(|b| (p, b)))
+            .filter_map(|(p, e)| e.best().map(|b| (p, b)))
     }
 
     /// Iterates `(prefix, number-of-paths)` over all prefixes with ≥1
@@ -111,7 +127,7 @@ impl LocRib {
         let mut probe = dest;
         loop {
             if let Some((p, e)) = self.entries.longest_match(probe) {
-                if let Some(b) = e.best.as_ref() {
+                if let Some(b) = e.best() {
                     return Some((p, b));
                 }
                 // Entry exists but unreachable: retry one level up.
@@ -125,30 +141,63 @@ impl LocRib {
         }
     }
 
-    fn recompute(&mut self, prefix: Prefix) -> BestChange {
+    /// Re-runs the decision process for `prefix` after `peer`'s candidate
+    /// changed; `displaced` is the candidate the change replaced or
+    /// removed. An unchanged selection copies nothing. A changed one clones
+    /// the new best once, into the change, and moves the old best into it
+    /// when it was the displaced candidate.
+    fn recompute(
+        &mut self,
+        prefix: Prefix,
+        peer: PeerId,
+        displaced: Option<RouteCandidate>,
+    ) -> BestChange {
         let entry = self
             .entries
             .get_mut(prefix)
             .expect("recompute on existing entry");
-        let new_best = best_route(entry.candidates.values()).cloned();
-        let old_best = entry.best.clone();
-        let change = match (&old_best, &new_best) {
-            (None, None) => BestChange::Unchanged,
-            (None, Some(n)) => BestChange::NewBest(n.clone()),
-            (Some(o), None) => BestChange::Unreachable(o.clone()),
-            (Some(o), Some(n)) if o == n => BestChange::Unchanged,
-            (Some(o), Some(n)) => BestChange::Replaced {
-                old: Box::new(o.clone()),
-                new: Box::new(n.clone()),
-            },
+        let old_key = entry.best;
+        let new_key = entry.select();
+        entry.best = new_key;
+        // The old best is `displaced` if it was `peer`'s, and otherwise
+        // still in the table, untouched.
+        let old_was_displaced = old_key == Some(peer);
+        let unchanged = {
+            let old = match old_key {
+                Some(_) if old_was_displaced => displaced.as_ref(),
+                Some(key) => Some(&entry.candidates[&key]),
+                None => None,
+            };
+            old == entry.best()
         };
-        match (&old_best, &new_best) {
-            (None, Some(_)) => self.reachable += 1,
-            (Some(_), None) => self.reachable -= 1,
-            _ => {}
+        if unchanged {
+            if entry.candidates.is_empty() {
+                self.entries.remove(prefix);
+            }
+            return BestChange::Unchanged;
         }
-        entry.best = new_best;
-        if entry.candidates.is_empty() && entry.best.is_none() {
+        let new = entry.best().cloned();
+        let old = match old_key {
+            Some(_) if old_was_displaced => displaced,
+            Some(key) => Some(entry.candidates[&key].clone()),
+            None => None,
+        };
+        let change = match (old, new) {
+            (None, Some(n)) => {
+                self.reachable += 1;
+                BestChange::NewBest(n)
+            }
+            (Some(o), None) => {
+                self.reachable -= 1;
+                BestChange::Unreachable(o)
+            }
+            (Some(o), Some(n)) => BestChange::Replaced {
+                old: Box::new(o),
+                new: Box::new(n),
+            },
+            (None, None) => unreachable!("equal selections returned above"),
+        };
+        if entry.candidates.is_empty() {
             self.entries.remove(prefix);
         }
         change
@@ -161,20 +210,18 @@ impl LocRib {
             candidates: BTreeMap::new(),
             best: None,
         });
-        entry.candidates.insert(peer, cand);
-        self.recompute(prefix)
+        let displaced = entry.candidates.insert(peer, cand);
+        self.recompute(prefix, peer, displaced)
     }
 
     /// Removes `peer`'s candidate for `prefix` (withdrawal) and re-runs the
     /// decision process.
     pub fn withdraw(&mut self, prefix: Prefix, peer: PeerId) -> BestChange {
         match self.entries.get_mut(prefix) {
-            Some(entry) => {
-                if entry.candidates.remove(&peer).is_none() {
-                    return BestChange::Unchanged;
-                }
-                self.recompute(prefix)
-            }
+            Some(entry) => match entry.candidates.remove(&peer) {
+                Some(removed) => self.recompute(prefix, peer, Some(removed)),
+                None => BestChange::Unchanged,
+            },
             None => BestChange::Unchanged,
         }
     }

@@ -195,7 +195,7 @@ impl Policy {
                             }
                         }
                         for _ in 0..*prepend {
-                            out.as_path = out.as_path.prepend(local_asn);
+                            out.as_path.prepend(local_asn);
                         }
                         Some(out)
                     }

@@ -112,8 +112,9 @@ impl<T> PrefixTrie<T> {
 
     /// Removes and returns the value at exactly `prefix`.
     pub fn remove(&mut self, prefix: Prefix) -> Option<T> {
-        // Walk down recording the path so empty leaves can be pruned.
-        let mut path: Vec<(u32, usize)> = Vec::with_capacity(usize::from(prefix.len()));
+        // Walk down recording the path (at most 32 steps, on the stack) so
+        // empty leaves can be pruned.
+        let mut path = [(0u32, 0usize); 32];
         let mut idx = 0u32;
         for i in 0..prefix.len() {
             let bit = usize::from(prefix.bit(i));
@@ -121,14 +122,14 @@ impl<T> PrefixTrie<T> {
             if child == NO_NODE {
                 return None;
             }
-            path.push((idx, bit));
+            path[usize::from(i)] = (idx, bit);
             idx = child;
         }
         let removed = self.nodes[idx as usize].value.take()?;
         self.len -= 1;
         // Prune childless, valueless nodes bottom-up.
         let mut cur = idx;
-        while let Some((parent, bit)) = path.pop() {
+        for &(parent, bit) in path[..usize::from(prefix.len())].iter().rev() {
             let node = &self.nodes[cur as usize];
             if node.value.is_some() || node.children != [NO_NODE, NO_NODE] {
                 break;

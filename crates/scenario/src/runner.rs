@@ -744,6 +744,10 @@ impl ScenarioRunner {
                         tx.send(WriterMsg::Raw(ev)).map_err(hang_up)?;
                     }
                     let mut chunks_done = 0u64;
+                    // The chunk's monitor log, swapped out of the monitor:
+                    // both buffers keep their capacity, so the log stops
+                    // regrowing from zero every chunk.
+                    let mut drained = Vec::new();
                     for run_day in start_day..days {
                         let sim_day = pack.run.start_day + run_day;
                         tx.send(WriterMsg::Mark(Mark::DayStart { run_day, sim_day }))
@@ -783,10 +787,10 @@ impl ScenarioRunner {
                         while t < day_end {
                             t = (t + chunk).min(day_end);
                             world.run_until(t);
-                            let drained = world
-                                .monitor_mut(rs)
-                                .map(|m| std::mem::take(&mut m.updates))
-                                .unwrap_or_default();
+                            drained.clear();
+                            if let Some(m) = world.monitor_mut(rs) {
+                                std::mem::swap(&mut m.updates, &mut drained);
+                            }
                             for logged in &drained {
                                 let iri_bgp::message::Message::Update(up) = &logged.message else {
                                     continue;

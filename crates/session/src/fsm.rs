@@ -198,9 +198,10 @@ impl SessionFsm {
         self.state = State::Active;
     }
 
-    /// Feeds one event, returning the required actions.
-    pub fn handle(&mut self, event: Event) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// Feeds one event, appending the required actions to `actions` (a
+    /// buffer the caller owns and drains, so the hot path never allocates
+    /// one per event).
+    pub fn handle(&mut self, event: Event, actions: &mut Vec<Action>) {
         match (self.state, event) {
             // ----- Idle -----
             (State::Idle, Event::Start) => {
@@ -247,7 +248,7 @@ impl SessionFsm {
                 if open.asn != self.config.remote_asn {
                     let notif = Notification::new(NotificationCode::OpenMessageError);
                     actions.push(Action::Send(Message::Notification(notif)));
-                    self.drop_session(None, &mut actions);
+                    self.drop_session(None, actions);
                 } else {
                     // Negotiate hold time: minimum of proposals; 0 disables.
                     let theirs = Millis::from(open.hold_time) * 1000;
@@ -272,10 +273,10 @@ impl SessionFsm {
             (State::OpenSent, Event::HoldTimerExpired) => {
                 let notif = Notification::new(NotificationCode::HoldTimerExpired);
                 actions.push(Action::Send(Message::Notification(notif)));
-                self.drop_session(None, &mut actions);
+                self.drop_session(None, actions);
             }
             (State::OpenSent, Event::MessageReceived(Message::Notification(_))) => {
-                self.drop_session(None, &mut actions);
+                self.drop_session(None, actions);
             }
             (State::OpenSent, _) => {}
 
@@ -296,11 +297,11 @@ impl SessionFsm {
             (State::OpenConfirm, Event::HoldTimerExpired) => {
                 let notif = Notification::new(NotificationCode::HoldTimerExpired);
                 actions.push(Action::Send(Message::Notification(notif)));
-                self.drop_session(None, &mut actions);
+                self.drop_session(None, actions);
             }
             (State::OpenConfirm, Event::TcpClosed)
             | (State::OpenConfirm, Event::MessageReceived(Message::Notification(_))) => {
-                self.drop_session(None, &mut actions);
+                self.drop_session(None, actions);
             }
             (State::OpenConfirm, _) => {}
 
@@ -319,13 +320,13 @@ impl SessionFsm {
                     }
                 }
                 Message::Notification(n) => {
-                    self.drop_session(Some(n), &mut actions);
+                    self.drop_session(Some(n), actions);
                 }
                 Message::Open(_) => {
                     // Protocol error: OPEN in Established.
                     let notif = Notification::new(NotificationCode::FiniteStateMachineError);
                     actions.push(Action::Send(Message::Notification(notif.clone())));
-                    self.drop_session(Some(notif), &mut actions);
+                    self.drop_session(Some(notif), actions);
                 }
             },
             (State::Established, Event::KeepaliveTimerFired) => {
@@ -339,14 +340,13 @@ impl SessionFsm {
                 // CPU is pinned processing updates).
                 let notif = Notification::new(NotificationCode::HoldTimerExpired);
                 actions.push(Action::Send(Message::Notification(notif.clone())));
-                self.drop_session(Some(notif), &mut actions);
+                self.drop_session(Some(notif), actions);
             }
             (State::Established, Event::TcpClosed) => {
-                self.drop_session(None, &mut actions);
+                self.drop_session(None, actions);
             }
             (State::Established, _) => {}
         }
-        actions
     }
 }
 
@@ -356,6 +356,13 @@ mod tests {
 
     fn config() -> SessionConfig {
         SessionConfig::new(Asn(237), Ipv4Addr::new(192, 41, 177, 249), Asn(701))
+    }
+
+    /// Feeds one event into a fresh buffer and returns what it appended.
+    fn step(fsm: &mut SessionFsm, event: Event) -> Vec<Action> {
+        let mut actions = Vec::new();
+        fsm.handle(event, &mut actions);
+        actions
     }
 
     fn peer_open(asn: u32, hold: u16) -> Event {
@@ -370,16 +377,16 @@ mod tests {
     /// Drives a fresh FSM to Established, asserting the happy path.
     fn establish(fsm: &mut SessionFsm) {
         assert_eq!(fsm.state(), State::Idle);
-        let a = fsm.handle(Event::Start);
+        let a = step(fsm, Event::Start);
         assert!(a.contains(&Action::OpenConnection));
         assert_eq!(fsm.state(), State::Connect);
-        let a = fsm.handle(Event::TcpEstablished);
+        let a = step(fsm, Event::TcpEstablished);
         assert!(matches!(a[0], Action::Send(Message::Open(_))));
         assert_eq!(fsm.state(), State::OpenSent);
-        let a = fsm.handle(peer_open(701, 180));
+        let a = step(fsm, peer_open(701, 180));
         assert!(a.contains(&Action::Send(Message::Keepalive)));
         assert_eq!(fsm.state(), State::OpenConfirm);
-        let a = fsm.handle(Event::MessageReceived(Message::Keepalive));
+        let a = step(fsm, Event::MessageReceived(Message::Keepalive));
         assert!(a.contains(&Action::SessionUp));
         assert_eq!(fsm.state(), State::Established);
     }
@@ -396,18 +403,18 @@ mod tests {
     #[test]
     fn hold_time_negotiates_to_minimum() {
         let mut fsm = SessionFsm::new(config());
-        fsm.handle(Event::Start);
-        fsm.handle(Event::TcpEstablished);
-        fsm.handle(peer_open(701, 90));
+        step(&mut fsm, Event::Start);
+        step(&mut fsm, Event::TcpEstablished);
+        step(&mut fsm, peer_open(701, 90));
         assert_eq!(fsm.negotiated_hold(), 90_000);
     }
 
     #[test]
     fn zero_hold_time_disables_keepalives() {
         let mut fsm = SessionFsm::new(config());
-        fsm.handle(Event::Start);
-        fsm.handle(Event::TcpEstablished);
-        let a = fsm.handle(peer_open(701, 0));
+        step(&mut fsm, Event::Start);
+        step(&mut fsm, Event::TcpEstablished);
+        let a = step(&mut fsm, peer_open(701, 0));
         assert!(!a.iter().any(|x| matches!(x, Action::ArmHoldTimer(_))));
         assert_eq!(fsm.negotiated_hold(), 0);
     }
@@ -415,9 +422,9 @@ mod tests {
     #[test]
     fn wrong_asn_in_open_rejected() {
         let mut fsm = SessionFsm::new(config());
-        fsm.handle(Event::Start);
-        fsm.handle(Event::TcpEstablished);
-        let a = fsm.handle(peer_open(999, 180));
+        step(&mut fsm, Event::Start);
+        step(&mut fsm, Event::TcpEstablished);
+        let a = step(&mut fsm, peer_open(999, 180));
         assert!(matches!(
             a[0],
             Action::Send(Message::Notification(Notification {
@@ -433,7 +440,7 @@ mod tests {
     fn hold_timer_expiry_in_established_is_a_flap() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(Event::HoldTimerExpired);
+        let a = step(&mut fsm, Event::HoldTimerExpired);
         assert!(matches!(
             a[0],
             Action::Send(Message::Notification(Notification {
@@ -452,11 +459,12 @@ mod tests {
     fn updates_and_keepalives_refresh_hold_timer() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(Event::MessageReceived(Message::Keepalive));
+        let a = step(&mut fsm, Event::MessageReceived(Message::Keepalive));
         assert_eq!(a, vec![Action::ArmHoldTimer(180_000)]);
-        let a = fsm.handle(Event::MessageReceived(Message::Update(
-            iri_bgp::message::Update::withdraw([]),
-        )));
+        let a = step(
+            &mut fsm,
+            Event::MessageReceived(Message::Update(iri_bgp::message::Update::withdraw([]))),
+        );
         assert_eq!(a, vec![Action::ArmHoldTimer(180_000)]);
     }
 
@@ -464,7 +472,7 @@ mod tests {
     fn keepalive_timer_sends_keepalive() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(Event::KeepaliveTimerFired);
+        let a = step(&mut fsm, Event::KeepaliveTimerFired);
         assert_eq!(a[0], Action::Send(Message::Keepalive));
         assert!(matches!(a[1], Action::ArmKeepaliveTimer(60_000)));
     }
@@ -474,7 +482,10 @@ mod tests {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
         let notif = Notification::new(NotificationCode::Cease);
-        let a = fsm.handle(Event::MessageReceived(Message::Notification(notif.clone())));
+        let a = step(
+            &mut fsm,
+            Event::MessageReceived(Message::Notification(notif.clone())),
+        );
         assert!(a.contains(&Action::SessionDown(Some(notif))));
         assert_eq!(fsm.flap_count(), 1);
     }
@@ -483,7 +494,7 @@ mod tests {
     fn open_in_established_is_fsm_error() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(peer_open(701, 180));
+        let a = step(&mut fsm, peer_open(701, 180));
         assert!(matches!(
             a[0],
             Action::Send(Message::Notification(Notification {
@@ -498,17 +509,17 @@ mod tests {
     fn tcp_loss_in_established_flaps_and_retries() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(Event::TcpClosed);
+        let a = step(&mut fsm, Event::TcpClosed);
         assert!(a.contains(&Action::SessionDown(None)));
         assert!(a.iter().any(|x| matches!(x, Action::ArmConnectRetry(_))));
         assert_eq!(fsm.state(), State::Active);
         // Retry re-connects; a full re-establishment is possible.
-        let a = fsm.handle(Event::ConnectRetryExpired);
+        let a = step(&mut fsm, Event::ConnectRetryExpired);
         assert!(a.contains(&Action::OpenConnection));
         assert_eq!(fsm.state(), State::Connect);
-        fsm.handle(Event::TcpEstablished);
-        fsm.handle(peer_open(701, 180));
-        let a = fsm.handle(Event::MessageReceived(Message::Keepalive));
+        step(&mut fsm, Event::TcpEstablished);
+        step(&mut fsm, peer_open(701, 180));
+        let a = step(&mut fsm, Event::MessageReceived(Message::Keepalive));
         assert!(a.contains(&Action::SessionUp));
         assert_eq!(fsm.flap_count(), 1);
     }
@@ -517,7 +528,7 @@ mod tests {
     fn stop_from_established_sends_cease() {
         let mut fsm = SessionFsm::new(config());
         establish(&mut fsm);
-        let a = fsm.handle(Event::Stop);
+        let a = step(&mut fsm, Event::Stop);
         assert!(matches!(
             a[0],
             Action::Send(Message::Notification(Notification {
@@ -534,13 +545,13 @@ mod tests {
         let mut fsm = SessionFsm::new(config());
         for i in 1..=3 {
             establish(&mut fsm);
-            fsm.handle(Event::HoldTimerExpired);
+            step(&mut fsm, Event::HoldTimerExpired);
             assert_eq!(fsm.flap_count(), i);
             // drop_session leaves us in Active; go back around.
-            fsm.handle(Event::ConnectRetryExpired);
+            step(&mut fsm, Event::ConnectRetryExpired);
             assert_eq!(fsm.state(), State::Connect);
             // Reset to Idle path for establish(): feed Stop then Start.
-            fsm.handle(Event::Stop);
+            step(&mut fsm, Event::Stop);
         }
     }
 
@@ -554,7 +565,7 @@ mod tests {
             Event::KeepaliveTimerFired,
             Event::MessageReceived(Message::Keepalive),
         ] {
-            assert!(fsm.handle(ev).is_empty());
+            assert!(step(&mut fsm, ev).is_empty());
             assert_eq!(fsm.state(), State::Idle);
         }
     }
@@ -562,11 +573,11 @@ mod tests {
     #[test]
     fn connect_failure_goes_active_then_retries() {
         let mut fsm = SessionFsm::new(config());
-        fsm.handle(Event::Start);
-        let a = fsm.handle(Event::TcpClosed);
+        step(&mut fsm, Event::Start);
+        let a = step(&mut fsm, Event::TcpClosed);
         assert!(a.iter().any(|x| matches!(x, Action::ArmConnectRetry(_))));
         assert_eq!(fsm.state(), State::Active);
-        let a = fsm.handle(Event::ConnectRetryExpired);
+        let a = step(&mut fsm, Event::ConnectRetryExpired);
         assert!(a.contains(&Action::OpenConnection));
     }
 }

@@ -49,7 +49,8 @@ proptest! {
         let mut flaps_seen = 0u64;
         for ev in events {
             let pre_state = fsm.state();
-            let actions = fsm.handle(ev);
+            let mut actions = Vec::new();
+            fsm.handle(ev, &mut actions);
             let post_state = fsm.state();
 
             // SessionUp exactly on entering Established.
@@ -99,7 +100,7 @@ proptest! {
         for ev in events {
             let pre = fsm.state();
             let ev_is_keepalive = matches!(ev, Event::MessageReceived(Message::Keepalive));
-            fsm.handle(ev);
+            fsm.handle(ev, &mut Vec::new());
             if fsm.state() == State::Established && pre != State::Established {
                 prop_assert_eq!(pre, State::OpenConfirm);
                 prop_assert!(ev_is_keepalive);
@@ -111,9 +112,9 @@ proptest! {
     fn stop_always_returns_to_idle(events in prop::collection::vec(arb_event(), 0..60)) {
         let mut fsm = SessionFsm::new(config());
         for ev in events {
-            fsm.handle(ev);
+            fsm.handle(ev, &mut Vec::new());
         }
-        fsm.handle(Event::Stop);
+        fsm.handle(Event::Stop, &mut Vec::new());
         prop_assert_eq!(fsm.state(), State::Idle);
     }
 }

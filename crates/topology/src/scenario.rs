@@ -240,7 +240,7 @@ pub fn build_day_world(
             // prepends toward its backup) so the decision process prefers
             // the primary deterministically.
             if pi == 1 {
-                attrs.as_path = attrs.as_path.prepend(c.asn);
+                attrs.as_path.prepend(c.asn);
             }
             for &prefix in &c.prefixes {
                 let at = rng.random_range(0..warmup / 3);
