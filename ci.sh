@@ -103,6 +103,14 @@ echo "==> simulator golden output and allocation budget (release)"
 # Router::handle_message (`&update.clone()`: 135.9 calls, budget 134.6).
 cargo test --release -q --test sim_golden --test sim_alloc_budget
 
+echo "==> figure binaries' golden output (release)"
+# fig2-fig10, table1, headline, exchanges and ablations at small scales
+# print byte-identically to the goldens captured before the figures moved
+# onto the runner's chunked day step (iri_scenario::drive_day). Sabotage
+# that trips it: drop the classifier warm-up in drive_day, by putting
+# `if ev.time_ms < warmup_ms { continue; }` before `classifier.classify`.
+cargo test --release -q -p iri-bench --test figures_golden
+
 echo "==> bench_store --smoke (prune-ratio, query-speedup gates)"
 cargo run --release -q -p iri-bench --bin bench_store -- --smoke \
     --out target/BENCH_store_smoke.json --dir target/bench_store_smoke.store

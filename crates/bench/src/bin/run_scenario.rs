@@ -1,6 +1,6 @@
-//! `run_scenario` — run a scenario pack (or a legacy experiment JSON).
+//! `run_scenario` — run a scenario pack.
 //!
-//! The preferred input is a **scenario pack**: one versioned TOML/JSON
+//! The input is a **scenario pack**: one versioned TOML/JSON
 //! file holding topology, workload, fault schedules, detector tuning,
 //! memory limits, and expected-incident ground truth (see
 //! `iri-scenario` and the seed packs under `packs/`). Packs run through
@@ -15,8 +15,7 @@
 //! run_scenario --pack p.toml --store /tmp/s --record   # + boundary chain
 //! run_scenario --pack p.toml --store /tmp/s --resume   # continue a kill
 //! run_scenario --pack p.toml --store /tmp/s2 --replay --chain /tmp/s-chain
-//! run_scenario --print-default > scenario.json   # legacy JSON config
-//! run_scenario scenario.json --day 45            # legacy one-day run
+//! run_scenario --pack p.toml --check                   # strict parse only
 //! ```
 //!
 //! `--record` appends every simulation boundary crossing to a
@@ -27,41 +26,14 @@
 //! Exit codes: 0 ok, 2 usage, 3–7 store errors, 8 RSS budget, 9
 //! `--kill-after-chunks`, 10 chain.
 //!
-//! The legacy `{graph, scenario}` JSON config is still accepted as a
-//! positional argument and runs the classic in-memory day pipeline; its
-//! schema and defaults now come from `iri_scenario::Experiment`, the
-//! same loader the pack format derives from.
+//! The store the run leaves is what `iriq` and `tracescope` query. The
+//! default pack at a scale (`packs/paper_1996.toml`) simulates the same
+//! days the figure binaries do, through the same day step.
 
+use iri_bench::arg_u64;
 use iri_bench::cli::run_error_exit_code;
-use iri_bench::summary::summarize_day;
-use iri_bench::{arg_u64, logged_to_events};
-use iri_core::stats::breakdown::breakdown;
-use iri_core::stats::incidents::detect_incidents;
-use iri_core::taxonomy::UpdateClass;
-use iri_core::Classifier;
-use iri_pipeline::PipelineMetrics;
-use iri_scenario::{ChainMode, Experiment, RunnerOptions, ScenarioPack, ScenarioRunner};
-use iri_topology::asgraph::AsGraph;
-use serde::Serialize;
+use iri_scenario::{ChainMode, RunnerOptions, ScenarioPack, ScenarioRunner};
 use std::path::{Path, PathBuf};
-
-/// The `--metrics-json` payload (legacy mode).
-#[derive(Serialize)]
-struct MetricsDump {
-    day: u32,
-    days: u32,
-    total_events: u64,
-    /// Per-class event counts, in [`UpdateClass::ALL`] order.
-    classes: Vec<ClassCount>,
-    /// Parallel-map telemetry (multi-day runs only).
-    pipeline: Option<PipelineMetrics>,
-}
-
-#[derive(Serialize)]
-struct ClassCount {
-    class: UpdateClass,
-    count: u64,
-}
 
 /// `--key value` string argument.
 fn arg_str(args: &[String], key: &str) -> Option<String> {
@@ -71,110 +43,19 @@ fn arg_str(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
-fn write_metrics(path: &str, dump: &MetricsDump) {
-    let json = serde_json::to_string_pretty(dump).expect("serialise metrics");
-    std::fs::write(path, json).unwrap_or_else(|e| {
-        eprintln!("run_scenario: cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    println!("metrics written to {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--print-default") {
-        let file = Experiment::default_at(0.05);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&file).expect("serialise")
-        );
-        return;
-    }
-    if let Some(pack_path) = arg_str(&args, "--pack") {
-        run_pack(&pack_path, &args);
-        return;
-    }
-    let Some(path) = args.get(1).filter(|p| !p.starts_with("--")) else {
+    let Some(pack_path) = arg_str(&args, "--pack") else {
         eprintln!(
             "usage: run_scenario --pack <pack.toml> --store <dir> [--days N] [--jobs N] \
              [--hours H] [--max-rss-mb M] [--report-json <path>]\n\
              \x20      [--record | --resume | --replay] [--chain <dir>] \
              [--kill-after-chunks N]\n\
-             \x20      run_scenario --pack <pack.toml> --check\n\
-             \x20      run_scenario <config.json> [--day N] [--days N] [--jobs N]\n\
-             \x20      run_scenario --print-default"
+             \x20      run_scenario --pack <pack.toml> --check"
         );
         std::process::exit(2);
     };
-    let day = arg_u64(&args, "--day", 45) as u32;
-    let raw = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("run_scenario: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let file: Experiment = serde_json::from_str(&raw).unwrap_or_else(|e| {
-        eprintln!("run_scenario: bad config: {e}");
-        std::process::exit(1);
-    });
-
-    let graph = AsGraph::generate(&file.graph);
-    let days = arg_u64(&args, "--days", 1) as u32;
-    let metrics_json = arg_str(&args, "--metrics-json");
-    if days > 1 {
-        run_parallel_days(
-            &file,
-            &graph,
-            day,
-            days,
-            arg_u64(&args, "--jobs", 0) as usize,
-            metrics_json.as_deref(),
-        );
-        return;
-    }
-    println!(
-        "graph: {} providers, {} customers, {} prefixes; running day {day} at {}",
-        graph.providers.len(),
-        graph.customers.len(),
-        graph.prefix_count(),
-        file.scenario.exchange.name(),
-    );
-    let result = iri_topology::scenario::run_day(&file.scenario, &graph, day);
-    let events = logged_to_events(&result.events_after_warmup());
-    let mut classifier = Classifier::new();
-    let classified = classifier.classify_all(&events);
-    let b = breakdown(&classified);
-    println!("\n{} prefix events:", b.total());
-    for class in UpdateClass::ALL {
-        if b.get(class) > 0 {
-            println!("  {:<14} {:>8}", class.label(), b.get(class));
-        }
-    }
-    let bins = iri_core::stats::bins::ten_minute_bins(
-        &classified,
-        iri_core::stats::bins::instability_filter,
-    );
-    let incidents = detect_incidents(&bins, 10.0, 36);
-    println!(
-        "\ntable: {} prefixes ({} multihomed); incidents detected: {}",
-        result.census.prefixes,
-        result.census.multihomed,
-        incidents.len()
-    );
-    if let Some(path) = metrics_json {
-        let dump = MetricsDump {
-            day,
-            days: 1,
-            total_events: b.total(),
-            classes: UpdateClass::ALL
-                .iter()
-                .map(|&class| ClassCount {
-                    class,
-                    count: b.get(class),
-                })
-                .collect(),
-            pipeline: None,
-        };
-        write_metrics(&path, &dump);
-    }
+    run_pack(&pack_path, &args);
 }
 
 /// `--pack` mode: parse, apply CLI overrides, stream through the runner,
@@ -306,72 +187,5 @@ fn run_pack(pack_path: &str, args: &[String]) {
             std::process::exit(1);
         });
         println!("report written to {path}");
-    }
-}
-
-/// Parallel multi-day mode: each day is an independent seeded simulation,
-/// dealt to `jobs` workers by `iri-pipeline`'s ordered map.
-fn run_parallel_days(
-    file: &Experiment,
-    graph: &AsGraph,
-    start_day: u32,
-    days: u32,
-    jobs: usize,
-    metrics_json: Option<&str>,
-) {
-    println!(
-        "graph: {} providers, {} customers, {} prefixes; running days {start_day}..{} at {}",
-        graph.providers.len(),
-        graph.customers.len(),
-        graph.prefix_count(),
-        start_day + days,
-        file.scenario.exchange.name(),
-    );
-    let scenario = &file.scenario;
-    let (summaries, metrics) =
-        iri_pipeline::par_map((start_day..start_day + days).collect(), jobs, |day| {
-            summarize_day(scenario, graph, day)
-        })
-        .expect("simulation worker panicked");
-    println!("\n{}", metrics.render());
-    println!("  day   events  instab%  pathological%  peak/s  incidents");
-    for s in &summaries {
-        let total = s.breakdown.total().max(1) as f64;
-        let instab: u64 = UpdateClass::ALL
-            .iter()
-            .filter(|c| c.is_instability())
-            .map(|&c| s.breakdown.get(c))
-            .sum();
-        let path: u64 = UpdateClass::ALL
-            .iter()
-            .filter(|c| c.is_pathological())
-            .map(|&c| s.breakdown.get(c))
-            .sum();
-        let incidents = detect_incidents(&s.instability_bins, 10.0, 36);
-        println!(
-            "  {:>3} {:>8} {:>7.1} {:>13.1} {:>7} {:>10}",
-            s.day,
-            s.total_events,
-            100.0 * instab as f64 / total,
-            100.0 * path as f64 / total,
-            s.peak_events_per_sec,
-            incidents.len()
-        );
-    }
-    if let Some(path) = metrics_json {
-        let dump = MetricsDump {
-            day: start_day,
-            days,
-            total_events: summaries.iter().map(|s| s.breakdown.total()).sum(),
-            classes: UpdateClass::ALL
-                .iter()
-                .map(|&class| ClassCount {
-                    class,
-                    count: summaries.iter().map(|s| s.breakdown.get(class)).sum(),
-                })
-                .collect(),
-            pipeline: Some(metrics),
-        };
-        write_metrics(path, &dump);
     }
 }

@@ -1,14 +1,15 @@
 //! Shared figure-binary harness: argument parsing, the banner, the scaled
-//! topology, and the `--store` day cache — the boilerplate every
-//! `fig*`/`table1` binary used to repeat, factored into one place so the
-//! segment-store hook applies to all of them at once.
+//! topology, and the parallel day map — the boilerplate every
+//! `fig*`/`table1` binary used to repeat, factored into one place.
+//!
+//! Each day is simulated and classified through the scenario runner's
+//! day step (see [`crate::summary::classified_day`]); days are dealt to
+//! workers by `iri-pipeline`'s ordered parallel map.
 
-use crate::store_cache::summarize_days_cached;
 use crate::summary::{summarize_day, DaySummary, ExperimentConfig};
-use crate::{arg_f64, arg_str, banner};
+use crate::{arg_f64, banner};
 use iri_topology::asgraph::AsGraph;
 use iri_topology::scenario::ScenarioConfig;
-use std::path::PathBuf;
 
 /// Everything a figure binary starts from.
 pub struct Experiment {
@@ -20,8 +21,6 @@ pub struct Experiment {
     pub cfg: ExperimentConfig,
     /// The generated provider/customer topology.
     pub graph: AsGraph,
-    /// Segment-store day cache directory (`--store <dir>`), if any.
-    pub store_dir: Option<PathBuf>,
 }
 
 /// The lightweight half of [`experiment`] for binaries that build their
@@ -34,36 +33,30 @@ pub fn experiment_args(title: &str, paper: &str) -> Vec<String> {
 }
 
 /// Standard figure-binary preamble: banner, `--scale` (defaulting to
-/// `default_scale`), `--store <dir>`, and the scaled topology.
+/// `default_scale`), and the scaled topology.
 #[must_use]
 pub fn experiment(title: &str, paper: &str, default_scale: f64) -> Experiment {
     let args = experiment_args(title, paper);
     let scale = arg_f64(&args, "--scale", default_scale);
-    let store_dir = arg_str(&args, "--store").map(PathBuf::from);
     let (cfg, graph) = ExperimentConfig::at_scale(scale);
     Experiment {
         args,
         scale,
         cfg,
         graph,
-        store_dir,
     }
 }
 
 impl Experiment {
-    /// Runs `days` with the experiment's own scenario and topology,
-    /// through the store cache when `--store` was given.
+    /// Runs `days` with the experiment's own scenario and topology.
     #[must_use]
     pub fn run_days(&self, days: impl Iterator<Item = u32>) -> Vec<DaySummary> {
-        let scenario = self.cfg.scenario.clone();
-        let graph = &self.graph;
-        self.run_days_in(&scenario, graph, days)
+        self.run_days_in(&self.cfg.scenario, &self.graph, days)
     }
 
     /// [`Experiment::run_days`] with a custom scenario/topology (for
-    /// binaries like `table1` that inject incident providers). The store
-    /// cache fingerprints the scenario and topology, so customized runs
-    /// never collide with the default ones in the same directory.
+    /// binaries like `table1` that inject incident providers). Days run
+    /// on `cfg.threads` workers and come back in the order of `days`.
     #[must_use]
     pub fn run_days_in(
         &self,
@@ -71,33 +64,11 @@ impl Experiment {
         graph: &AsGraph,
         days: impl Iterator<Item = u32>,
     ) -> Vec<DaySummary> {
-        let days: Vec<u32> = days.collect();
-        match &self.store_dir {
-            Some(dir) => {
-                let (summaries, hit) =
-                    summarize_days_cached(scenario, graph, self.cfg.threads, &days, dir)
-                        .unwrap_or_else(|e| panic!("store cache at {}: {e}", dir.display()));
-                println!(
-                    "[store] {} at {} ({} days)",
-                    if hit {
-                        "cache hit — replayed"
-                    } else {
-                        "cache miss — simulated + archived"
-                    },
-                    dir.display(),
-                    days.len()
-                );
-                summaries
-            }
-            None => {
-                let scenario = scenario.clone();
-                iri_pipeline::par_map(days, self.cfg.threads, |day| {
-                    summarize_day(&scenario, graph, day)
-                })
-                .expect("simulation worker panicked")
-                .0
-            }
-        }
+        iri_pipeline::par_map(days.collect(), self.cfg.threads, |day| {
+            summarize_day(scenario, graph, day)
+        })
+        .expect("simulation worker panicked")
+        .0
     }
 
     /// One day through the same path as [`Experiment::run_days_in`].
@@ -111,5 +82,33 @@ impl Experiment {
         self.run_days_in(scenario, graph, std::iter::once(day))
             .pop()
             .expect("one day in, one summary out")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_days_parallel_matches_serial() {
+        let (mut cfg, graph) = ExperimentConfig::at_scale(0.01);
+        cfg.scenario.warmup_minutes = 10;
+        cfg.threads = 3;
+        let ex = Experiment {
+            args: Vec::new(),
+            scale: 0.01,
+            cfg,
+            graph,
+        };
+        let par = ex.run_days(0..4u32);
+        assert_eq!(par.len(), 4);
+        for (i, s) in par.iter().enumerate() {
+            assert_eq!(s.day, i as u32);
+            let serial = summarize_day(&ex.cfg.scenario, &ex.graph, i as u32);
+            assert_eq!(
+                s.total_events, serial.total_events,
+                "day {i} must be deterministic"
+            );
+        }
     }
 }

@@ -5,13 +5,17 @@
 //! `ablations`), all built on the shared pipeline here:
 //!
 //! ```text
-//! iri-topology scenario → iri-netsim day world → monitor log
-//!        → iri-core events → classifier → per-day summary
+//! iri-topology day world → iri-scenario day step (10-min chunks:
+//!        monitor drain → iri-core events → warmed classifier)
+//!        → per-day summary
 //! ```
 //!
-//! Multi-day experiments run days in parallel through `iri-pipeline`'s
-//! ordered parallel map; each simulated day is independent (its own
-//! seeded world), so results are deterministic regardless of scheduling.
+//! Every measured day is simulated and classified through
+//! `iri_scenario::drive_day`, the chunked day step `run_scenario --pack`
+//! runs too. Multi-day experiments ([`Experiment::run_days`]) deal days
+//! to workers through `iri-pipeline`'s ordered parallel map; each
+//! simulated day is independent (its own seeded world), so results are
+//! deterministic regardless of scheduling.
 
 pub mod cli;
 pub mod engine;
@@ -19,7 +23,6 @@ pub mod experiment;
 pub mod genlog;
 pub mod obs_scenario;
 pub mod report;
-pub mod store_cache;
 pub mod summary;
 
 pub use cli::{
@@ -33,8 +36,7 @@ pub use report::{
     report_from_analysis, report_from_events, report_from_store, report_from_store_query,
     UpdateReport,
 };
-pub use store_cache::summarize_days_cached;
-pub use summary::{run_days, run_days_with_metrics, summarize_day, DaySummary, ExperimentConfig};
+pub use summary::{summarize_day, DaySummary, ExperimentConfig};
 
 use iri_core::input::{PeerKey, UpdateEvent};
 use iri_netsim::monitor::LoggedUpdate;

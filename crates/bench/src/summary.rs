@@ -1,10 +1,8 @@
 //! Per-day experiment summaries: everything any figure needs, reduced
 //! inside the per-day worker so multi-month runs stay small in memory.
 
-use crate::logged_to_events_with_causes;
 use iri_bgp::types::Asn;
 use iri_core::classifier::ClassifiedEvent;
-use iri_core::classifier::Classifier;
 use iri_core::stats::affected::{affected_day, affected_tuples, AffectedDay};
 use iri_core::stats::bins::{instability_filter, ten_minute_bins, SLOTS_PER_DAY};
 use iri_core::stats::breakdown::{breakdown, ClassBreakdown};
@@ -14,10 +12,12 @@ use iri_core::stats::daily::{provider_daily_totals, ProviderDailyRow};
 use iri_core::stats::interarrival::{day_interarrival, DayInterarrival};
 use iri_core::stats::persistence::{episodes, persistence_below};
 use iri_core::taxonomy::UpdateClass;
-use iri_obs::Cause;
+use iri_netsim::{SimTime, HOUR, MINUTE};
+use iri_scenario::{drive_day, DEFAULT_CHUNK_MINUTES};
 use iri_topology::asgraph::AsGraph;
-use iri_topology::scenario::{run_day, ScenarioConfig};
+use iri_topology::scenario::{build_day_world, ScenarioConfig};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Configuration for a multi-day experiment.
 #[derive(Debug, Clone)]
@@ -105,59 +105,45 @@ pub fn provider_table_shares(graph: &AsGraph, _day: u32) -> BTreeMap<Asn, f64> {
         .collect()
 }
 
-/// Runs one day's simulation and classification, returning the measured
-/// day's classified events (times relative to measurement start), their
-/// aligned causal provenance tags, and the route-server table census.
+/// Runs one day's simulation and classification through the shared day
+/// step ([`drive_day`], the scenario runner's step), returning the
+/// measured day's classified events (times relative to measurement
+/// start) and the route-server table census.
 ///
-/// The classifier is warmed on the full log (including the settling
-/// period) so that per-pair state is correct at measurement start — the
-/// 1996 instrumentation observed continuously, so a withdrawal at 00:01
-/// for a route announced the previous evening is a legitimate Withdraw,
-/// not a spurious WWDup. Only events inside the measured 24 h are kept.
+/// The classifier is warmed on the settling period so that per-pair
+/// state is correct at measurement start — the 1996 instrumentation
+/// observed continuously, so a withdrawal at 00:01 for a route announced
+/// the previous evening is a legitimate Withdraw, not a spurious WWDup.
+/// Only events inside the measured 24 h are kept.
 #[must_use]
 pub fn classified_day(
     cfg: &ScenarioConfig,
     graph: &AsGraph,
     day: u32,
-) -> (
-    Vec<ClassifiedEvent>,
-    Vec<Cause>,
-    iri_rib::stats::TableCensus,
-) {
-    let result = run_day(cfg, graph, day);
-    let (all_events, all_causes) = logged_to_events_with_causes(&result.monitor.updates);
-    let mut classifier = Classifier::new();
-    let warmup = result.warmup_ms;
+) -> (Vec<ClassifiedEvent>, iri_rib::stats::TableCensus) {
+    let (mut world, rs, _providers) = build_day_world(cfg, graph, day);
+    let warmup_ms = SimTime::from(cfg.warmup_minutes) * MINUTE;
     let mut classified = Vec::new();
-    let mut causes = Vec::new();
-    for (event, &cause) in all_events.iter().zip(&all_causes) {
-        let mut c = classifier.classify(event);
-        if c.time_ms >= warmup {
-            c.time_ms -= warmup;
+    let Ok(census) = drive_day(
+        &mut world,
+        rs,
+        warmup_ms..warmup_ms + 24 * HOUR,
+        SimTime::from(DEFAULT_CHUNK_MINUTES) * MINUTE,
+        &mut Vec::new(),
+        |c, _cause| {
             classified.push(c);
-            causes.push(cause);
-        }
-    }
-    (classified, causes, result.census)
+            Ok::<(), Infallible>(())
+        },
+        |_| Ok(()),
+    );
+    (classified, census)
 }
 
 /// Runs one day end to end and reduces it to a [`DaySummary`].
 #[must_use]
 pub fn summarize_day(cfg: &ScenarioConfig, graph: &AsGraph, day: u32) -> DaySummary {
-    let (classified, _causes, census) = classified_day(cfg, graph, day);
-    reduce_day(day, &classified, census, graph)
-}
-
-/// Reduces one measured day's classified events to a [`DaySummary`] —
-/// the pure statistics half of [`summarize_day`], shared with the
-/// store-backed day cache which replays `classified` from disk.
-#[must_use]
-pub fn reduce_day(
-    day: u32,
-    classified: &[ClassifiedEvent],
-    census: iri_rib::stats::TableCensus,
-    graph: &AsGraph,
-) -> DaySummary {
+    let (classified, census) = classified_day(cfg, graph, day);
+    let classified = &classified[..];
     let shares = provider_table_shares(graph, day);
     let mut contribution = Vec::new();
     let mut cdfs = Vec::new();
@@ -198,32 +184,6 @@ pub fn reduce_day(
     }
 }
 
-/// Runs `days` in parallel and returns summaries sorted by day.
-#[must_use]
-pub fn run_days(
-    cfg: &ExperimentConfig,
-    graph: &AsGraph,
-    days: impl Iterator<Item = u32>,
-) -> Vec<DaySummary> {
-    run_days_with_metrics(cfg, graph, days).0
-}
-
-/// [`run_days`], also returning the pipeline's worker telemetry. Days are
-/// dealt to `cfg.threads` workers through `iri-pipeline`'s ordered
-/// parallel map — work-stealing beats the old static chunking when day
-/// lengths are uneven, and the telemetry shows per-worker busy time.
-#[must_use]
-pub fn run_days_with_metrics(
-    cfg: &ExperimentConfig,
-    graph: &AsGraph,
-    days: impl Iterator<Item = u32>,
-) -> (Vec<DaySummary>, iri_pipeline::PipelineMetrics) {
-    let days: Vec<u32> = days.collect();
-    let scenario = &cfg.scenario;
-    iri_pipeline::par_map(days, cfg.threads, |day| summarize_day(scenario, graph, day))
-        .expect("simulation worker panicked")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,23 +201,6 @@ mod tests {
         assert!(!s.provider_rows.is_empty());
         assert!(s.census.prefixes > 0);
         assert!((0.0..=1.0).contains(&s.persistence_under_5min));
-    }
-
-    #[test]
-    fn run_days_parallel_matches_serial() {
-        let (mut cfg, graph) = ExperimentConfig::at_scale(0.01);
-        cfg.scenario.warmup_minutes = 10;
-        cfg.threads = 3;
-        let par = run_days(&cfg, &graph, 0..4u32);
-        assert_eq!(par.len(), 4);
-        for (i, s) in par.iter().enumerate() {
-            assert_eq!(s.day, i as u32);
-            let serial = summarize_day(&cfg.scenario, &graph, i as u32);
-            assert_eq!(
-                s.total_events, serial.total_events,
-                "day {i} must be deterministic"
-            );
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use iri_netsim::ExchangePoint;
 use iri_obs::incident::IncidentKind;
 use iri_topology::asgraph::GraphConfig;
 use iri_topology::scenario::{IncidentSpec, ScenarioConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::fmt;
 use std::path::Path;
 
@@ -33,6 +33,10 @@ pub const FORMAT_VERSION: u64 = 1;
 /// ASCII). Also the anchor of the graph-seed derivation: at this seed
 /// the derived graph equals the legacy scaled default.
 pub const DEFAULT_PACK_SEED: u64 = 0x6d61_655f;
+
+/// `[run] chunk_minutes` when a pack omits it; the figure harness steps
+/// its days at this length too.
+pub const DEFAULT_CHUNK_MINUTES: u32 = 10;
 
 /// A pack-file problem: syntax, schema, or semantics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -532,8 +536,8 @@ pub struct ScenarioPack {
 
 impl ScenarioPack {
     /// The baseline pack at `scale`: 1996 workload defaults, one day, no
-    /// faults — the single source of truth `run_scenario --print-default`
-    /// and the experiment harness start from.
+    /// faults — the single source of truth the figure harness starts
+    /// from.
     #[must_use]
     pub fn default_at(scale: f64) -> Self {
         ScenarioPack {
@@ -565,7 +569,7 @@ impl ScenarioPack {
             run: RunSpec {
                 start_day: 45,
                 days: 1,
-                chunk_minutes: 10,
+                chunk_minutes: DEFAULT_CHUNK_MINUTES,
                 channel_capacity: 8_192,
                 batch_events: 4_096,
                 segment_rows: 65_536,
@@ -865,7 +869,7 @@ impl ScenarioPack {
     }
 
     // -----------------------------------------------------------------
-    // Serialize (for round-trips and `--print-default`)
+    // Serialize (for round-trips and the chain genesis fingerprint)
     // -----------------------------------------------------------------
 
     /// The pack as a value tree (the inverse of [`ScenarioPack::from_value`]).
@@ -1178,9 +1182,8 @@ fn emit_toml(root: &Value) -> String {
     out
 }
 
-/// The legacy `run_scenario` experiment file (`{graph, scenario}` JSON),
-/// kept serde-compatible; its defaults now come from the pack loader.
-#[derive(Serialize, Deserialize)]
+/// The figure harness's experiment: the topology and workload configs of
+/// [`ScenarioPack::default_at`].
 pub struct Experiment {
     /// Topology generator parameters.
     pub graph: GraphConfig,

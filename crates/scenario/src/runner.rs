@@ -3,9 +3,9 @@
 //! [`ScenarioRunner`] executes a [`ScenarioPack`] day by day with bounded
 //! memory at every stage:
 //!
-//! - the simulation advances in `chunk_minutes` steps and the monitor log
-//!   is drained after each chunk, so no whole-day MRT log ever
-//!   accumulates;
+//! - each day runs through the shared day step ([`drive_day`]): the
+//!   simulation advances in `chunk_minutes` steps and the monitor log is
+//!   drained after each chunk, so no whole-day MRT log ever accumulates;
 //! - drained updates are flattened, classified, and pushed one event at a
 //!   time through a **bounded** crossbeam channel to a writer thread that
 //!   commits fixed-size batches to the [`LiveStore`] — batch boundaries
@@ -20,8 +20,10 @@
 //!   order regardless of poll timing.
 //!
 //! Event times are rebased so measured day `d` of the run spans
-//! `[d·24 h, (d+1)·24 h)`; warmup traffic is classified (to warm the
-//! per-day classifier exactly like the batch pipeline) but not stored.
+//! `[d·24 h, (d+1)·24 h)`; warmup traffic warms the per-day classifier
+//! but is not stored. The figure harness classifies its days through the
+//! same step, so a figure and a pack run of the same day see the same
+//! classified stream.
 //! The run ends with a [`Scorecard`] matching detected incidents against
 //! the pack's `[[ground_truth]]` expectations.
 //!
@@ -44,13 +46,12 @@
 //! with the first divergent sequence number, and producing fewer or more
 //! crossings than the recording is an error in both modes.
 
+use crate::day::drive_day;
 use crate::faults::{apply_faults, DayContext};
 use crate::pack::{PackError, ScenarioPack, TruthSpec};
 use crate::rss::{current_rss_kb, peak_rss_kb};
 use iri_chain::{decode_event, encode_event, ChainError, ChainTape, EntryKind, Genesis, Mark};
 use iri_core::fxhash::FxHasher;
-use iri_core::input::{events_from_update, PeerKey};
-use iri_core::Classifier;
 use iri_faults::SharedFs;
 use iri_netsim::{SimTime, SpillConfig, HOUR, MINUTE};
 use iri_obs::incident::Incident;
@@ -744,9 +745,7 @@ impl ScenarioRunner {
                         tx.send(WriterMsg::Raw(ev)).map_err(hang_up)?;
                     }
                     let mut chunks_done = 0u64;
-                    // The chunk's monitor log, swapped out of the monitor:
-                    // both buffers keep their capacity, so the log stops
-                    // regrowing from zero every chunk.
+                    // drive_day's monitor-log scratch, kept across days.
                     let mut drained = Vec::new();
                     for run_day in start_day..days {
                         let sim_day = pack.run.start_day + run_day;
@@ -777,63 +776,48 @@ impl ScenarioRunner {
                                 working_set: pack.limits.spill_working_set,
                             });
                         }
-                        world.start();
                         // Day `d` of the run lands at [d·24 h, d·24 h + hours).
                         let day_offset = u64::from(run_day) * 24 * HOUR;
-                        let day_end = warmup_ms + u64::from(hours) * HOUR;
-                        let chunk = u64::from(pack.run.chunk_minutes) * MINUTE;
-                        let mut classifier = Classifier::new();
-                        let mut t = 0u64;
-                        while t < day_end {
-                            t = (t + chunk).min(day_end);
-                            world.run_until(t);
-                            drained.clear();
-                            if let Some(m) = world.monitor_mut(rs) {
-                                std::mem::swap(&mut m.updates, &mut drained);
-                            }
-                            for logged in &drained {
-                                let iri_bgp::message::Message::Update(up) = &logged.message else {
-                                    continue;
-                                };
-                                let peer = PeerKey {
-                                    asn: logged.peer_asn,
-                                    addr: logged.peer_addr,
-                                };
-                                for ev in events_from_update(logged.time_ms, peer, up) {
-                                    // Warm the classifier on warmup traffic but
-                                    // only store the measured day.
-                                    let c = classifier.classify(&ev);
-                                    if c.time_ms < warmup_ms {
-                                        continue;
+                        // Spill totals as of the day's last step, before
+                        // the census restores the route server.
+                        let mut day_spill = None;
+                        let census = drive_day(
+                            &mut world,
+                            rs,
+                            warmup_ms..warmup_ms + u64::from(hours) * HOUR,
+                            u64::from(pack.run.chunk_minutes) * MINUTE,
+                            &mut drained,
+                            |c, cause| {
+                                let mut row = StoredEvent::from_classified(&c, cause);
+                                row.time_ms += day_offset;
+                                tx.send(WriterMsg::Event(row)).map_err(hang_up)?;
+                                *events_sent_ref += 1;
+                                Ok(())
+                            },
+                            |world| {
+                                day_spill = world.spill_stats().cloned();
+                                watcher_ref.poll(store_ref)?;
+                                if budget_mb > 0 {
+                                    let rss_mb = current_rss_kb().unwrap_or(0) / 1024;
+                                    if rss_mb > budget_mb {
+                                        return Err(RunError::RssBudget { rss_mb, budget_mb });
                                     }
-                                    let mut row = StoredEvent::from_classified(&c, logged.cause);
-                                    row.time_ms = row.time_ms - warmup_ms + day_offset;
-                                    tx.send(WriterMsg::Event(row)).map_err(hang_up)?;
-                                    *events_sent_ref += 1;
                                 }
-                            }
-                            watcher_ref.poll(store_ref)?;
-                            if budget_mb > 0 {
-                                let rss_mb = current_rss_kb().unwrap_or(0) / 1024;
-                                if rss_mb > budget_mb {
-                                    return Err(RunError::RssBudget { rss_mb, budget_mb });
+                                chunks_done += 1;
+                                if self.opts.stop_after_chunks == Some(chunks_done) {
+                                    return Err(RunError::Stopped {
+                                        chunks: chunks_done,
+                                    });
                                 }
-                            }
-                            chunks_done += 1;
-                            if self.opts.stop_after_chunks == Some(chunks_done) {
-                                return Err(RunError::Stopped {
-                                    chunks: chunks_done,
-                                });
-                            }
-                        }
-                        if let Some(stats) = world.spill_stats() {
+                                Ok(())
+                            },
+                        )?;
+                        if let Some(stats) = day_spill {
                             spill_ref.spills += stats.spills;
                             spill_ref.restores += stats.restores;
                             spill_ref.bytes_written += stats.bytes_written;
                             spill_ref.bytes_read += stats.bytes_read;
                         }
-                        world.ensure_resident(rs);
-                        let census = iri_rib::stats::census(world.router(rs).loc_rib());
                         *census_ref = census.prefixes;
                         tx.send(WriterMsg::Mark(Mark::Checkpoint {
                             run_day,

@@ -6,8 +6,9 @@
 //! faults → monitor drain → classifier → bounded channel → store commits →
 //! watcher polls.
 
+use iri_chain::ChainTape;
 use iri_scenario::runner::{RunError, RunnerOptions, ScenarioRunner};
-use iri_scenario::{FaultKind, FaultSpec, ScenarioPack};
+use iri_scenario::{ChainMode, FaultKind, FaultSpec, ScenarioPack};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,4 +210,73 @@ fn rss_budget_fails_fast() {
         other => panic!("expected RssBudget, got {other}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_chunk_length_changes_no_store_byte_chain_entry_or_incident() {
+    let mut pack = tiny_pack();
+    pack.faults.push(FaultSpec {
+        kind: FaultKind::CommunityChurn,
+        day: 0,
+        every_day: false,
+        start_minute: 30,
+        duration_minutes: 20,
+        prefixes: 4,
+        period_seconds: 30,
+        ramp_minutes: 10,
+        peak_per_minute: 60.0,
+        alpha: 1.3,
+        min_gap_minutes: 2.0,
+        provider: 0,
+    });
+    let run = |chunk_minutes: u32, tag: &str| {
+        let mut pack = pack.clone();
+        pack.run.chunk_minutes = chunk_minutes;
+        let dir = temp_dir(tag);
+        let report = ScenarioRunner::new(
+            pack,
+            RunnerOptions {
+                chain: ChainMode::Record,
+                ..run_opts(1)
+            },
+        )
+        .run(&dir)
+        .expect("recorded run");
+        let chain_dir = iri_scenario::chain_dir_for(&dir);
+        let tape = ChainTape::load(iri_faults::real_fs(), &chain_dir).expect("load chain");
+        // The genesis fingerprints the pack text, chunk length included,
+        // so the hash links differ; every crossing after it must not.
+        let crossings: Vec<_> = tape.entries()[1..]
+            .iter()
+            .map(|e| (e.seq, e.kind, e.payload.clone()))
+            .collect();
+        let bytes = dir_bytes(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&chain_dir);
+        (report, crossings, bytes)
+    };
+    let (r5, c5, b5) = run(5, "chunk-5");
+    let (r60, c60, b60) = run(60, "chunk-60");
+    assert!(r5.events_written > 0, "the run must commit events");
+    assert!(!r5.incidents.is_empty(), "the churn must raise an incident");
+    assert_eq!(r5.events_written, r60.events_written);
+    assert_eq!(r5.store_generation, r60.store_generation);
+    assert_eq!(r5.final_census_prefixes, r60.final_census_prefixes);
+    assert_eq!(r5.incidents, r60.incidents, "incident lists differ");
+    assert_eq!(r5.chain_events, r60.chain_events);
+    assert_eq!(c5.len(), c60.len(), "chain lengths differ");
+    for (a, b) in c5.iter().zip(&c60) {
+        assert_eq!(a, b, "chain crossing differs");
+    }
+    assert_eq!(
+        b5.keys().collect::<Vec<_>>(),
+        b60.keys().collect::<Vec<_>>(),
+        "store file sets differ"
+    );
+    for (name, bytes) in &b5 {
+        assert_eq!(
+            bytes, &b60[name],
+            "store file {name} differs across chunk lengths"
+        );
+    }
 }

@@ -14,8 +14,9 @@
 //!   maintenance line, Saturday spikes, the summer lull, a linear growth
 //!   trend, and the end-of-May infrastructure-upgrade incident.
 //! - [`growth`] — the linear multihoming growth of Figure 10.
-//! - [`scenario`] — the driver gluing a graph + calendar day into an
-//!   `iri-netsim` world and returning the monitor log and table census.
+//! - [`scenario`] — builds one calendar day's `iri-netsim` world from a
+//!   graph: the exchange, the customers' originations and the day's
+//!   injected events.
 
 #![warn(missing_docs)]
 
@@ -27,4 +28,4 @@ pub mod scenario;
 
 pub use asgraph::{AsGraph, CustomerSpec, GraphConfig, ProviderSpec};
 pub use events::{Calendar, UsageModel, Weekday};
-pub use scenario::{DayResult, ScenarioConfig};
+pub use scenario::ScenarioConfig;

@@ -6,13 +6,13 @@
 //! cargo run --release --example exchange_monitor -- --scale 0.05
 //! ```
 
-use iri_bench::{arg_f64, arg_u64, logged_to_events, ExperimentConfig};
+use iri_bench::summary::classified_day;
+use iri_bench::{arg_f64, arg_u64, ExperimentConfig};
 use iri_core::stats::bins::{instability_filter, ten_minute_bins};
+use iri_core::stats::breakdown::breakdown;
 use iri_core::stats::daily::provider_daily_totals;
 use iri_core::taxonomy::UpdateClass;
-use iri_core::Classifier;
 use iri_topology::events::Calendar;
-use iri_topology::scenario::run_day;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,10 +24,9 @@ fn main() {
     let weekday = Calendar::weekday(day);
     println!("=== Mae-East monitor — {month} {dom}, 1996 ({weekday:?}), scale {scale} ===\n");
 
-    let result = run_day(&cfg.scenario, &graph, day);
-    let events = logged_to_events(&result.events_after_warmup());
-    let mut classifier = Classifier::new();
-    let classified = classifier.classify_all(&events);
+    // The figures' day step: the classifier is warmed on the warmup, so
+    // the first measured minutes classify like any other.
+    let (classified, census) = classified_day(&cfg.scenario, &graph, day);
     let bins = ten_minute_bins(&classified, instability_filter);
     let all_bins = ten_minute_bins(&classified, |_| true);
 
@@ -43,9 +42,10 @@ fn main() {
     // Summary like the Merit IPMA pages.
     println!("\n--- daily summary ---");
     println!("prefix events: {}", classified.len());
+    let counts = breakdown(&classified);
     let mut per_class: Vec<(UpdateClass, u64)> = UpdateClass::ALL
         .iter()
-        .map(|&c| (c, classifier.count(c)))
+        .map(|&c| (c, counts.get(c)))
         .collect();
     per_class.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
     for (c, n) in per_class {
@@ -67,9 +67,9 @@ fn main() {
     }
     println!(
         "\ntable: {} prefixes, {} multihomed ({:.0}%)",
-        result.census.prefixes,
-        result.census.multihomed,
-        100.0 * result.census.multihomed_fraction()
+        census.prefixes,
+        census.multihomed,
+        100.0 * census.multihomed_fraction()
     );
     assert!(!classified.is_empty());
 }
